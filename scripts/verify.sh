@@ -30,9 +30,10 @@ if [[ $RUN_FULL -eq 1 ]]; then
   # The async layer (futures, queue-routed collectives, pipelined CG, graph
   # capture/replay) with two forced lanes and the pool disabled: staging and
   # future slots must degrade to plain allocation without changing any
-  # result.
+  # result.  Every reduction and sharded launch shares the queue's launch
+  # pipeline, so the reduce and shard suites ride this leg too.
   JACC_QUEUES=2 JACC_MEM_POOL=none ctest --test-dir build \
-    -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|PipelinedSolve|GraphedSolve' \
+    -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|PipelinedSolve|GraphedSolve|Shard|Reduce' \
     --output-on-failure -j"$JOBS"
   # Kernel fusion (docs/FUSION.md): the whole suite must pass with both
   # fusion levels forced on, and with fusion forced off — `none` must keep
@@ -44,8 +45,8 @@ if [[ $RUN_FULL -eq 1 ]]; then
   # Auto-sharding (docs/SHARDING.md): the whole suite must pass with
   # sharding explicitly forced on — the default resolution, so this proves
   # no test quietly depends on JACC_SHARD being unset.  The shard suite
-  # itself pins bit-exactness against the deprecated hand-sharded front
-  # end and covers the off mode via the test hook.
+  # itself pins bit-exactness against host and single-device references
+  # and covers the off mode via the test hook.
   JACC_SHARD=auto ctest --test-dir build --output-on-failure -j"$JOBS"
 
   # Serving scheduler (docs/SERVING.md): the suite must pass with explicit

@@ -50,8 +50,8 @@ inline constexpr uninit_t uninit{};
 
 /// Placement tag selecting sharded construction: the array's storage is
 /// split contiguously across a device_set's devices along its slowest
-/// dimension (docs/SHARDING.md).  `jacc::array<double> a(jacc::sharded(ds),
-/// n)` replaces the deprecated `jaccx::multi::marray`.
+/// dimension (docs/SHARDING.md): `jacc::array<double> a(jacc::sharded(ds),
+/// n)`.
 struct sharded_t {
   device_set* set = nullptr;
 };
@@ -70,20 +70,23 @@ namespace detail {
 
 /// Tracked-when-simulated element reference.  Converting to T counts a
 /// read, assigning counts a write; with a null device it degrades to a plain
-/// load/store the optimizer sees through.
+/// load/store the optimizer sees through.  The accessors are forced inline:
+/// left to the inliner, whether a kernel's accesses become calls depends on
+/// whatever else its translation unit instantiates (a 1024^2 LBM step on
+/// four threads swung by a third with it).
 template <class T>
 class element_ref {
 public:
   element_ref(T* p, jaccx::sim::device* dev) : p_(p), dev_(dev) {}
 
-  operator T() const {
+  [[gnu::always_inline]] operator T() const {
     if (dev_ != nullptr) {
       dev_->track(p_, sizeof(T));
     }
     return *p_;
   }
 
-  T operator=(T v) const {
+  [[gnu::always_inline]] T operator=(T v) const {
     if (dev_ != nullptr) {
       dev_->track(p_, sizeof(T));
     }
@@ -341,7 +344,7 @@ public:
   }
 
 protected:
-  element_ref<T> ref(index_t linear) const {
+  [[gnu::always_inline]] element_ref<T> ref(index_t linear) const {
     JACCX_ASSERT(linear >= 0 && linear < count_);
     if (shard_ != nullptr) [[unlikely]] {
       return shard_ref(linear);

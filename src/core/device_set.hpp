@@ -8,11 +8,8 @@
 // throughput that re-derives the weights between launches.  Installing a
 // device_set_scope makes every synchronous 1/2/3-D parallel_for /
 // parallel_reduce inside it execute sharded across the set — kernels keep
-// their GLOBAL indices; the runtime applies the decomposition.
-//
-// Timing semantics match jaccx::multi::context exactly (each device has its
-// own clock, sync() is the aligning barrier), because multi's context is now
-// a deprecated shim over this class.
+// their GLOBAL indices; the runtime applies the decomposition.  Each
+// device keeps its own clock; sync() is the aligning barrier.
 #pragma once
 
 #include <map>

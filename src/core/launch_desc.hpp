@@ -1,11 +1,12 @@
 // Launch descriptors shared by every jacc dispatch front end.
 //
-// The public overload surface (1D/2D/3D x hinted/unhinted x sync/queued)
-// funnels into one internal shape, detail::launch_desc: an iteration range,
-// its rank, and the accounting hints.  Each public signature only fills the
-// descriptor; the per-backend execution bodies in parallel_for.hpp /
-// parallel_reduce.hpp consume it.  Adding a queue, a new rank, or a new
-// hint therefore touches the descriptor once instead of nine overloads.
+// Every public parallel_for / parallel_reduce overload (1D/2D/3D, hinted or
+// not, synchronous, queued, host-blocking or future-returning) only fills
+// one detail::launch_desc — an iteration range, its rank, and the
+// accounting hints — and hands it to the single launch pipeline in
+// parallel_for.hpp / parallel_reduce.hpp.  The queue, graph and shard
+// layers receive the same descriptor, so a new hint or rank touches this
+// struct and that one pipeline, not each overload.
 #pragma once
 
 #include <string_view>
@@ -64,26 +65,24 @@ struct dims3 {
 namespace detail {
 
 /// The one internal launch shape every public overload lowers to.  Unused
-/// trailing dimensions are 1 so count() is always the product.
+/// trailing dimensions are 1 so count() is always the product; the rank
+/// travels as the pipeline's Rank template parameter.
 struct launch_desc {
   hints h;
   index_t rows = 0;
   index_t cols = 1;
   index_t depth = 1;
-  int rank = 1;
 
   index_t count() const { return rows * cols * depth; }
-  dims2 as_2d() const { return dims2{rows, cols}; }
-  dims3 as_3d() const { return dims3{rows, cols, depth}; }
 
   static launch_desc d1(const hints& h, index_t n) {
-    return launch_desc{h, n, 1, 1, 1};
+    return launch_desc{h, n, 1, 1};
   }
   static launch_desc d2(const hints& h, dims2 d) {
-    return launch_desc{h, d.rows, d.cols, 1, 2};
+    return launch_desc{h, d.rows, d.cols, 1};
   }
   static launch_desc d3(const hints& h, dims3 d) {
-    return launch_desc{h, d.rows, d.cols, d.depth, 3};
+    return launch_desc{h, d.rows, d.cols, d.depth};
   }
 };
 

@@ -15,9 +15,17 @@
 // stream-ordered extension (queue.hpp); on the default queue they are
 // exactly the synchronous calls.
 //
-// Internally every public overload lowers to one detail::launch_desc and
-// one per-rank execution body, so the 1D/2D/3D x hinted/unhinted x
-// sync/queued surface shares a single dispatch switch per rank.
+// One launch pipeline serves every overload.  Each public signature fills a
+// detail::launch_desc and calls detail::launch_for<Rank>, which picks the
+// route once:
+//   an explicit user queue or an active queue_scope -> enqueue_common
+//       (graph capture, simulated stream, async lane or degraded sync)
+//   otherwise an active device_set_scope            -> the shard engine
+//   otherwise                                       -> execute_for<Rank>,
+//       in place with full reference semantics.
+// The kernel travels as a rank-normalized callable k(i, j, k) (unused
+// indices are 0), so execute_for holds the one back-end switch for all
+// three ranks.
 //
 // Back-end mapping (paper Sec. IV):
 //   serial/threads      coarse chunks; 2D/3D decompose over the slowest
@@ -43,6 +51,7 @@
 #include "core/fuse.hpp"
 #include "core/launch_desc.hpp"
 #include "core/queue.hpp"
+#include "core/shard.hpp"
 #include "prof/prof.hpp"
 #include "sim/launch.hpp"
 #include "threadpool/thread_pool.hpp"
@@ -131,49 +140,46 @@ make_fusable_payload(const launch_desc& d, const F& fn,
   }
 }
 
-inline jaccx::sim::launch_config gpu_config_1d(const jaccx::sim::device& dev,
-                                               index_t n, const hints& h) {
-  jaccx::sim::launch_config cfg;
-  const std::int64_t maxt = dev.model().max_threads_per_block;
-  const std::int64_t threads = n < maxt ? (n > 0 ? n : 1) : maxt;
-  cfg.block = jaccx::sim::dim3{threads};
-  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(n > 0 ? n : 1, threads)};
-  cfg.name = h.name;
-  cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
-  return cfg;
+/// The kernel as a rank-normalized callable: k(i, j, k) calls f with the
+/// first Rank indices, then the trailing arguments.  Every execution body
+/// takes this form, so one body serves all three ranks.
+template <int Rank, class F, class... Args>
+auto bind_kernel(F& f, Args&... args) {
+  return [&f, &args...](index_t i, [[maybe_unused]] index_t j,
+                        [[maybe_unused]] index_t k) {
+    if constexpr (Rank == 1) {
+      return f(i, args...);
+    } else if constexpr (Rank == 2) {
+      return f(i, j, args...);
+    } else {
+      return f(i, j, k, args...);
+    }
+  };
 }
 
-inline jaccx::sim::launch_config gpu_config_2d(index_t rows, index_t cols,
-                                               const hints& h) {
-  // Paper Fig. 6: numThreads = 16 per dimension.
+/// Simulated-GPU geometry: one thread per index.  1D blocks take up to
+/// max_threads_per_block threads, 2D blocks are 16x16 (paper Fig. 6:
+/// numThreads = 16 per dimension), 3D blocks 8x8x4.
+template <int Rank>
+jaccx::sim::launch_config gpu_config(const jaccx::sim::device& dev,
+                                     const launch_desc& d) {
+  const std::int64_t tile[3] = {
+      Rank == 1 ? dev.model().max_threads_per_block : Rank == 2 ? 16 : 8,
+      Rank == 2 ? 16 : 8, 4};
+  const index_t extent[3] = {d.rows, d.cols, d.depth};
+  std::int64_t block[3];
+  std::int64_t grid[3];
+  for (int a = 0; a < 3; ++a) {
+    const std::int64_t e = extent[a] > 0 ? extent[a] : 1;
+    block[a] = a >= Rank ? 1 : e < tile[a] ? e : tile[a];
+    grid[a] = jaccx::sim::ceil_div(e, block[a]);
+  }
   jaccx::sim::launch_config cfg;
-  const std::int64_t tile = 16;
-  const std::int64_t mt = rows < tile ? (rows > 0 ? rows : 1) : tile;
-  const std::int64_t nt = cols < tile ? (cols > 0 ? cols : 1) : tile;
-  cfg.block = jaccx::sim::dim3{mt, nt};
-  cfg.grid = jaccx::sim::dim3{jaccx::sim::ceil_div(rows > 0 ? rows : 1, mt),
-                              jaccx::sim::ceil_div(cols > 0 ? cols : 1, nt)};
-  cfg.name = h.name;
+  cfg.block = jaccx::sim::dim3{block[0], block[1], block[2]};
+  cfg.grid = jaccx::sim::dim3{grid[0], grid[1], grid[2]};
+  cfg.name = d.h.name;
   cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
-  return cfg;
-}
-
-inline jaccx::sim::launch_config gpu_config_3d(const dims3& d,
-                                               const hints& h) {
-  jaccx::sim::launch_config cfg;
-  const std::int64_t tx = d.rows < 8 ? (d.rows > 0 ? d.rows : 1) : 8;
-  const std::int64_t ty = d.cols < 8 ? (d.cols > 0 ? d.cols : 1) : 8;
-  const std::int64_t tz = d.depth < 4 ? (d.depth > 0 ? d.depth : 1) : 4;
-  cfg.block = jaccx::sim::dim3{tx, ty, tz};
-  cfg.grid =
-      jaccx::sim::dim3{jaccx::sim::ceil_div(d.rows > 0 ? d.rows : 1, tx),
-                       jaccx::sim::ceil_div(d.cols > 0 ? d.cols : 1, ty),
-                       jaccx::sim::ceil_div(d.depth > 0 ? d.depth : 1, tz)};
-  cfg.name = h.name;
-  cfg.flavor.via_jacc = true;
-  cfg.flops_per_index = h.flops_per_index;
+  cfg.flops_per_index = d.h.flops_per_index;
   return cfg;
 }
 
@@ -185,224 +191,146 @@ inline jaccx::sim::cpu_region_config cpu_config(const hints& h) {
   return cfg;
 }
 
-/// Threads-backend 2D decomposition.  Coarse column-wise chunks (paper
-/// Sec. IV: parallel over j, contiguous i within each worker) while there
-/// are at least as many columns as workers; narrower grids tile the
-/// flattened iteration space instead, so a 1'000'000 x 2 grid still feeds
-/// every worker rather than at most two.
-template <class F, class... Args>
-void threads_for_2d(jaccx::pool::thread_pool& pool, dims2 d, F&& f,
-                    Args&&... args) {
-  if (d.cols >= static_cast<index_t>(pool.size())) {
-    pool.parallel_for_index(d.cols, [&](index_t j) {
+/// Serial walk of the whole index space, column-major (i fastest).
+template <class K>
+void walk_serial(const launch_desc& d, const K& visit) {
+  for (index_t k = 0; k < d.depth; ++k) {
+    for (index_t j = 0; j < d.cols; ++j) {
       for (index_t i = 0; i < d.rows; ++i) {
-        f(i, j, args...);
+        visit(i, j, k);
       }
-    });
-    return;
+    }
   }
-  pool.parallel_chunks(d.rows * d.cols, [&](unsigned, jaccx::pool::range r) {
-    jaccx::pool::walk_flat_2d(r, d.rows, [&](index_t i, index_t j) {
-      f(i, j, args...);
-    });
-  });
 }
 
-/// Threads-backend 3D decomposition: over depth planes while depth covers
-/// the pool, then over flattened (j, k) columns, then over the fully
-/// flattened space for extreme shapes like {1e6, 2, 2}.
-template <class F, class... Args>
-void threads_for_3d(jaccx::pool::thread_pool& pool, dims3 d, F&& f,
-                    Args&&... args) {
+/// Walks the flattened chunk `r` (i fastest) of d's index space: a plain
+/// loop in 1D, one div/mod per chunk instead of per index otherwise.
+template <int Rank, class K>
+void walk_chunk(jaccx::pool::range r, const launch_desc& d, const K& visit) {
+  if constexpr (Rank == 1) {
+    for (index_t i = r.begin; i < r.end; ++i) {
+      visit(i, 0, 0);
+    }
+  } else {
+    jaccx::pool::walk_flat_3d(r, d.rows, d.cols, visit);
+  }
+}
+
+/// Threads-backend decomposition: coarse chunks with contiguous i inside
+/// each worker (paper Sec. IV).  3D launches split depth planes while depth
+/// covers the pool width; then the flattened (j, k) columns are split while
+/// they cover it; narrower shapes tile the fully flattened space, so a
+/// 1'000'000 x 2 grid still feeds every worker rather than at most two.
+template <int Rank, class K>
+void threads_for(jaccx::pool::thread_pool& pool, const launch_desc& d,
+                 const K& kern) {
   const auto width = static_cast<index_t>(pool.size());
-  if (d.depth >= width) {
+  const auto column = [&](index_t j, index_t k) {
+    for (index_t i = 0; i < d.rows; ++i) {
+      kern(i, j, k);
+    }
+  };
+  if (Rank == 3 && d.depth >= width) {
     pool.parallel_for_index(d.depth, [&](index_t k) {
       for (index_t j = 0; j < d.cols; ++j) {
-        for (index_t i = 0; i < d.rows; ++i) {
-          f(i, j, k, args...);
-        }
+        column(j, k);
       }
     });
-    return;
-  }
-  if (d.cols * d.depth >= width) {
+  } else if (Rank > 1 && d.cols * d.depth >= width) {
     pool.parallel_chunks(d.cols * d.depth,
                          [&](unsigned, jaccx::pool::range r) {
-      jaccx::pool::walk_flat_2d(r, d.cols, [&](index_t j, index_t k) {
-        for (index_t i = 0; i < d.rows; ++i) {
-          f(i, j, k, args...);
-        }
-      });
+      jaccx::pool::walk_flat_2d(r, d.cols, column);
     });
-    return;
+  } else {
+    pool.parallel_chunks(d.count(), [&](unsigned, jaccx::pool::range r) {
+      walk_chunk<Rank>(r, d, kern);
+    });
   }
-  pool.parallel_chunks(d.rows * d.cols * d.depth,
-                       [&](unsigned, jaccx::pool::range r) {
-    jaccx::pool::walk_flat_3d(r, d.rows, d.cols,
-                              [&](index_t i, index_t j, index_t k) {
-      f(i, j, k, args...);
-    });
+}
+
+/// One simulated-GPU launch over d, thread x on the fastest index for
+/// coalescing.  Opens no prof scope: callers own it.
+template <int Rank, class K>
+void gpu_for(jaccx::sim::device& dev, const launch_desc& d, const K& kern) {
+  jaccx::sim::launch(dev, gpu_config<Rank>(dev, d),
+                     [&](jaccx::sim::kernel_ctx& ctx) {
+    const index_t i = ctx.global_x();
+    const index_t j = Rank > 1 ? ctx.global_y() : 0;
+    const index_t k = Rank > 2 ? ctx.global_z() : 0;
+    if (i < d.rows && j < d.cols && k < d.depth) {
+      kern(i, j, k);
+    }
   });
 }
 
-// --- per-rank execution bodies: one dispatch switch each --------------------
-// `pl` overrides the worker pool on the threads backend (queue lanes hand
-// their private pool in); null means the default pool, the sync path.
-
-template <class F, class... Args>
-void execute_for_1d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const index_t n = d.rows;
+/// The in-place executor: the one back-end switch.  `pl` overrides the
+/// worker pool on the threads backend (queue lanes hand their private pool
+/// in); null means the default pool, the sync path.
+template <int Rank, class K>
+void execute_for(backend b, jaccx::pool::thread_pool* pl,
+                 const launch_desc& d, const K& kern) {
   const jaccx::prof::kernel_scope prof_scope(
       jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(n), d.h.flops_per_index,
+      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
       d.h.bytes_per_index, to_string(b));
   switch (b) {
-  case backend::serial: {
-    for (index_t i = 0; i < n; ++i) {
-      f(i, args...);
-    }
+  case backend::serial:
+    walk_serial(d, kern);
     return;
-  }
-  case backend::threads: {
-    auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    pool.parallel_for_index(n, [&](index_t i) { f(i, args...); });
+  case backend::threads:
+    threads_for<Rank>(pl != nullptr ? *pl : jaccx::pool::default_pool(), d,
+                      kern);
     return;
-  }
   case backend::cpu_rome: {
     auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range(dev, cpu_config(d.h), n,
-                                   [&](index_t i) { f(i, args...); });
+    if constexpr (Rank == 1) {
+      jaccx::sim::cpu_parallel_range(dev, cpu_config(d.h), d.rows,
+                                     [&](index_t i) { kern(i, 0, 0); });
+    } else if constexpr (Rank == 2) {
+      jaccx::sim::cpu_parallel_range_2d(
+          dev, cpu_config(d.h), d.rows, d.cols,
+          [&](index_t i, index_t j) { kern(i, j, 0); });
+    } else {
+      jaccx::sim::cpu_parallel_range_3d(dev, cpu_config(d.h), d.rows, d.cols,
+                                        d.depth, kern);
+    }
     return;
   }
   case backend::cuda_a100:
   case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_1d(dev, n, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      if (i < n) {
-        f(i, args...);
-      }
-    });
+  case backend::oneapi_max1550:
+    gpu_for<Rank>(*backend_device(b), d, kern);
     return;
-  }
   }
 }
 
-template <class F, class... Args>
-void execute_for_2d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const dims2 d2 = d.as_2d();
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d2.rows * d2.cols), d.h.flops_per_index,
-      d.h.bytes_per_index, to_string(b));
-  switch (b) {
-  case backend::serial: {
-    for (index_t j = 0; j < d2.cols; ++j) {
-      for (index_t i = 0; i < d2.rows; ++i) {
-        f(i, j, args...);
-      }
-    }
-    return;
-  }
-  case backend::threads: {
-    auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    threads_for_2d(pool, d2, f, args...);
-    return;
-  }
-  case backend::cpu_rome: {
-    auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range_2d(
-        dev, cpu_config(d.h), d2.rows, d2.cols,
-        [&](index_t i, index_t j) { f(i, j, args...); });
-    return;
-  }
-  case backend::cuda_a100:
-  case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_2d(d2.rows, d2.cols, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      const index_t j = ctx.global_y();
-      if (i < d2.rows && j < d2.cols) {
-        f(i, j, args...);
-      }
-    });
-    return;
-  }
-  }
+/// Owning form of a launch for the queue paths: the descriptor, the kernel
+/// and its trailing arguments captured per async_arg_t, and the hint name
+/// as an owned std::string, so a caller-provided temporary is safe even
+/// when the task runs later on a lane thread.  Calling it with
+/// `exec(desc, kern)` runs exec on the rebuilt descriptor and kernel.
+template <int Rank, class F, class... Args>
+auto own_launch(const launch_desc& d, F&& f, Args&&... args) {
+  return [d, name = std::string(d.h.name),
+          fn = std::decay_t<F>(std::forward<F>(f)),
+          tup = std::tuple<async_arg_t<Args&&>...>(
+              std::forward<Args>(args)...)](const auto& exec) mutable {
+    // Re-point the descriptor's name view at the closure-owned copy on
+    // every run: the closure may have been moved since capture.
+    launch_desc desc = d;
+    desc.h.name = name;
+    std::apply([&](auto&... as) { exec(desc, bind_kernel<Rank>(fn, as...)); },
+               tup);
+  };
 }
-
-template <class F, class... Args>
-void execute_for_3d(backend b, jaccx::pool::thread_pool* pl,
-                    const launch_desc& d, F&& f, Args&&... args) {
-  const dims3 d3 = d.as_3d();
-  const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d3.rows * d3.cols * d3.depth),
-      d.h.flops_per_index, d.h.bytes_per_index, to_string(b));
-  switch (b) {
-  case backend::serial: {
-    for (index_t k = 0; k < d3.depth; ++k) {
-      for (index_t j = 0; j < d3.cols; ++j) {
-        for (index_t i = 0; i < d3.rows; ++i) {
-          f(i, j, k, args...);
-        }
-      }
-    }
-    return;
-  }
-  case backend::threads: {
-    auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
-    threads_for_3d(pool, d3, f, args...);
-    return;
-  }
-  case backend::cpu_rome: {
-    auto& dev = *backend_device(b);
-    jaccx::sim::cpu_parallel_range_3d(
-        dev, cpu_config(d.h), d3.rows, d3.cols, d3.depth,
-        [&](index_t i, index_t j, index_t k) { f(i, j, k, args...); });
-    return;
-  }
-  case backend::cuda_a100:
-  case backend::hip_mi100:
-  case backend::oneapi_max1550: {
-    auto& dev = *backend_device(b);
-    const auto cfg = gpu_config_3d(d3, d.h);
-    jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-      const index_t i = ctx.global_x();
-      const index_t j = ctx.global_y();
-      const index_t k = ctx.global_z();
-      if (i < d3.rows && j < d3.cols && k < d3.depth) {
-        f(i, j, k, args...);
-      }
-    });
-    return;
-  }
-  }
-}
-
-} // namespace detail
-} // namespace jacc
-
-// The sharding engine reuses the launch-config helpers above, so it must
-// land after them (core/shard.hpp documents it is not standalone).
-#include "core/shard.hpp"
-
-namespace jacc {
-namespace detail {
 
 /// Graph capture of a parallel_for: the whole front end — capture policy,
 /// hint resolution, descriptor building, name ownership — runs once, here,
 /// and the recorded node body is the residue.  The serial and threads 1D
 /// shapes (the dispatch-overhead benchmark's subject) get specialized
-/// bodies that skip even the per-rank dispatch switch on replay: a plain
-/// loop (or pool fan-out) guarded by the usual one-load prof gate.  Every
-/// other shape pre-bakes the generic runner, whose sim charge path is
+/// bodies that skip even the back-end switch on replay: a plain loop (or
+/// pool fan-out) guarded by the usual one-load prof gate.  Every other
+/// shape pre-bakes the in-place executor, whose sim charge path is
 /// identical to eager issue.
 template <int Rank, class F, class... Args>
 event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
@@ -421,6 +349,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
   }
   replay_body body;
   if constexpr (Rank == 1) {
+    // Kept: replay through execute_for misses abl_dispatch_overhead's 5x bar.
     if (b == backend::serial) {
       body = make_replay_body(
           [n = d.rows, hf = d.h.flops_per_index, hb = d.h.bytes_per_index,
@@ -479,13 +408,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
           desc.h.name = name;
           std::apply(
               [&](auto&... as) {
-                if constexpr (Rank == 1) {
-                  execute_for_1d(b, pl, desc, fn, as...);
-                } else if constexpr (Rank == 2) {
-                  execute_for_2d(b, pl, desc, fn, as...);
-                } else {
-                  execute_for_3d(b, pl, desc, fn, as...);
-                }
+                execute_for<Rank>(b, pl, desc, bind_kernel<Rank>(fn, as...));
               },
               *tup);
         });
@@ -498,40 +421,48 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                         std::move(body));
 }
 
-/// Builds the queued runner: the descriptor and kernel are copied, the hint
-/// name is captured as an owned std::string (so a caller-provided temporary
-/// is safe even when the task runs later on a lane thread), trailing args
-/// captured per async_arg_t, and the per-rank body is invoked with the
-/// lane's pool (null outside lanes).
+/// The one parallel_for front door: every public overload lands here with
+/// its descriptor.  `q` is the explicit queue, null for the synchronous
+/// forms, which then follow an active queue_scope.  The default queue runs
+/// in place like a plain call, but never shards.
 template <int Rank, class F, class... Args>
-event enqueue_for(queue& q, backend b, const launch_desc& d, F&& f,
-                  Args&&... args) {
-  if (queue_capturing(q)) [[unlikely]] {
-    return capture_for<Rank>(q, b, d, std::forward<F>(f),
-                             std::forward<Args>(args)...);
+event launch_for(queue* q, const launch_desc& d, F&& f, Args&&... args) {
+  if (q == nullptr) {
+    q = active_queue();
   }
-  return enqueue_common(
-      q, b, /*is_copy=*/false, d.h.name,
-      [d, b, name = std::string(d.h.name),
-       fn = std::decay_t<F>(std::forward<F>(f)),
-       tup = std::tuple<async_arg_t<Args&&>...>(std::forward<Args>(args)...)](
-          jaccx::pool::thread_pool* pl) mutable {
-        // Re-point the descriptor's name view at the closure-owned copy on
-        // every run: the closure may have been moved since capture.
-        launch_desc desc = d;
-        desc.h.name = name;
-        std::apply(
-            [&](auto&... as) {
-              if constexpr (Rank == 1) {
-                execute_for_1d(b, pl, desc, fn, as...);
-              } else if constexpr (Rank == 2) {
-                execute_for_2d(b, pl, desc, fn, as...);
-              } else {
-                execute_for_3d(b, pl, desc, fn, as...);
-              }
-            },
-            tup);
-      });
+  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
+  if (d.count() == 0) {
+    return event{};
+  }
+  if (q != nullptr && !q->is_default()) {
+    const backend b = current_backend();
+    if (queue_capturing(*q)) [[unlikely]] {
+      return capture_for<Rank>(*q, b, d, std::forward<F>(f),
+                               std::forward<Args>(args)...);
+    }
+    return enqueue_common(
+        *q, b, /*is_copy=*/false, d.h.name,
+        [b, run = own_launch<Rank>(d, std::forward<F>(f),
+                                   std::forward<Args>(args)...)](
+            jaccx::pool::thread_pool* pl) mutable {
+          run([&](const launch_desc& desc, const auto& kern) {
+            execute_for<Rank>(b, pl, desc, kern);
+          });
+        });
+  }
+  const auto kern = bind_kernel<Rank>(f, args...);
+  if (device_set* ds = q == nullptr ? active_shard_set() : nullptr;
+      ds != nullptr) [[unlikely]] {
+    shard_launch<Rank>(
+        *ds, jaccx::prof::construct::parallel_for, d,
+        [&](jaccx::sim::device& dev, const launch_desc& local, index_t off) {
+          gpu_for<Rank>(dev, local, shift_slow<Rank>(off, kern));
+        },
+        args...);
+    return event{};
+  }
+  execute_for<Rank>(current_backend(), nullptr, d, kern);
+  return event{};
 }
 
 } // namespace detail
@@ -542,20 +473,9 @@ event enqueue_for(queue& q, backend b, const launch_desc& d, F&& f,
 template <class F, class... Args>
 event parallel_for(queue& q, const hints& h, index_t n, F&& f,
                    Args&&... args) {
-  JACCX_ASSERT(n >= 0);
-  if (n == 0) {
-    return event{};
-  }
-  const backend b = current_backend();
-  const detail::launch_desc d = detail::launch_desc::d1(h, n);
-  if (q.is_default()) {
-    // The sync model verbatim: run in place, full reference semantics.
-    detail::execute_for_1d(b, nullptr, d, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-    return event{};
-  }
-  return detail::enqueue_for<1>(q, b, d, std::forward<F>(f),
-                                std::forward<Args>(args)...);
+  return detail::launch_for<1>(&q, detail::launch_desc::d1(h, n),
+                               std::forward<F>(f),
+                               std::forward<Args>(args)...);
 }
 
 /// 1D parallel_for on a queue: f(i, args...) for i in [0, n).
@@ -569,19 +489,9 @@ event parallel_for(queue& q, index_t n, F&& f, Args&&... args) {
 /// 2D parallel_for on a queue, with hints.
 template <class F, class... Args>
 event parallel_for(queue& q, const hints& h, dims2 d, F&& f, Args&&... args) {
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  if (d.rows == 0 || d.cols == 0) {
-    return event{};
-  }
-  const backend b = current_backend();
-  const detail::launch_desc desc = detail::launch_desc::d2(h, d);
-  if (q.is_default()) {
-    detail::execute_for_2d(b, nullptr, desc, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-    return event{};
-  }
-  return detail::enqueue_for<2>(q, b, desc, std::forward<F>(f),
-                                std::forward<Args>(args)...);
+  return detail::launch_for<2>(&q, detail::launch_desc::d2(h, d),
+                               std::forward<F>(f),
+                               std::forward<Args>(args)...);
 }
 
 /// 2D parallel_for on a queue.
@@ -595,19 +505,9 @@ event parallel_for(queue& q, dims2 d, F&& f, Args&&... args) {
 /// 3D parallel_for on a queue, with hints.
 template <class F, class... Args>
 event parallel_for(queue& q, const hints& h, dims3 d, F&& f, Args&&... args) {
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
-  if (d.rows == 0 || d.cols == 0 || d.depth == 0) {
-    return event{};
-  }
-  const backend b = current_backend();
-  const detail::launch_desc desc = detail::launch_desc::d3(h, d);
-  if (q.is_default()) {
-    detail::execute_for_3d(b, nullptr, desc, std::forward<F>(f),
-                           std::forward<Args>(args)...);
-    return event{};
-  }
-  return detail::enqueue_for<3>(q, b, desc, std::forward<F>(f),
-                                std::forward<Args>(args)...);
+  return detail::launch_for<3>(&q, detail::launch_desc::d3(h, d),
+                               std::forward<F>(f),
+                               std::forward<Args>(args)...);
 }
 
 /// 3D parallel_for on a queue.
@@ -619,30 +519,14 @@ event parallel_for(queue& q, dims3 d, F&& f, Args&&... args) {
 }
 
 // --- synchronous overloads (the paper's API) --------------------------------
-// Inside a queue_scope these route to the scope's queue; otherwise they are
-// the direct execution bodies, unchanged from the pre-queue model.
+// Inside a queue_scope these route to the scope's queue, inside a
+// device_set_scope to the shard engine; otherwise they run in place.
 
 /// 1D parallel_for with accounting hints.
 template <class F, class... Args>
 void parallel_for(const hints& h, index_t n, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, n, std::forward<F>(f), std::forward<Args>(args)...);
-    return;
-  }
-  JACCX_ASSERT(n >= 0);
-  if (n == 0) {
-    return;
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr)
-      [[unlikely]] {
-    detail::shard_execute_for<1>(*ds, detail::launch_desc::d1(h, n),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
-    return;
-  }
-  detail::execute_for_1d(current_backend(), nullptr,
-                         detail::launch_desc::d1(h, n), std::forward<F>(f),
-                         std::forward<Args>(args)...);
+  detail::launch_for<1>(nullptr, detail::launch_desc::d1(h, n),
+                        std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 /// 1D parallel_for: f(i, args...) for i in [0, n).
@@ -655,24 +539,8 @@ void parallel_for(index_t n, F&& f, Args&&... args) {
 /// 2D parallel_for with hints: f(i, j, args...) over rows x cols.
 template <class F, class... Args>
 void parallel_for(const hints& h, dims2 d, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, d, std::forward<F>(f), std::forward<Args>(args)...);
-    return;
-  }
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0);
-  if (d.rows == 0 || d.cols == 0) {
-    return;
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr)
-      [[unlikely]] {
-    detail::shard_execute_for<2>(*ds, detail::launch_desc::d2(h, d),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
-    return;
-  }
-  detail::execute_for_2d(current_backend(), nullptr,
-                         detail::launch_desc::d2(h, d), std::forward<F>(f),
-                         std::forward<Args>(args)...);
+  detail::launch_for<2>(nullptr, detail::launch_desc::d2(h, d),
+                        std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 /// 2D parallel_for: f(i, j, args...); i is the fast (column-major) index.
@@ -685,24 +553,8 @@ void parallel_for(dims2 d, F&& f, Args&&... args) {
 /// 3D parallel_for with hints: f(i, j, k, args...).
 template <class F, class... Args>
 void parallel_for(const hints& h, dims3 d, F&& f, Args&&... args) {
-  if (queue* q = detail::active_queue(); q != nullptr) [[unlikely]] {
-    parallel_for(*q, h, d, std::forward<F>(f), std::forward<Args>(args)...);
-    return;
-  }
-  JACCX_ASSERT(d.rows >= 0 && d.cols >= 0 && d.depth >= 0);
-  if (d.rows == 0 || d.cols == 0 || d.depth == 0) {
-    return;
-  }
-  if (device_set* ds = detail::active_shard_set(); ds != nullptr)
-      [[unlikely]] {
-    detail::shard_execute_for<3>(*ds, detail::launch_desc::d3(h, d),
-                                 std::forward<F>(f),
-                                 std::forward<Args>(args)...);
-    return;
-  }
-  detail::execute_for_3d(current_backend(), nullptr,
-                         detail::launch_desc::d3(h, d), std::forward<F>(f),
-                         std::forward<Args>(args)...);
+  detail::launch_for<3>(nullptr, detail::launch_desc::d3(h, d),
+                        std::forward<F>(f), std::forward<Args>(args)...);
 }
 
 /// 3D parallel_for: f(i, j, k, args...).

@@ -306,6 +306,13 @@ public:
     requires std::invocable<F&, index_t, index_t, Args&...>
   auto parallel_reduce(dims2 d, F&& f, Args&&... args);
 
+  template <class F, class... Args>
+  auto parallel_reduce(const hints& h, dims3 d, F&& f, Args&&... args);
+
+  template <class F, class... Args>
+    requires std::invocable<F&, index_t, index_t, index_t, Args&...>
+  auto parallel_reduce(dims3 d, F&& f, Args&&... args);
+
   /// Simulated-clock position of this queue on the current backend's
   /// device (0 under real back ends).  Diagnostics and tests.
   double now_us() const;

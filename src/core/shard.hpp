@@ -1,8 +1,8 @@
 // jacc::shard — the auto-sharding execution engine (docs/SHARDING.md).
 //
 // When a device_set_scope is live, the synchronous parallel_for /
-// parallel_reduce front ends route here instead of the single-device
-// bodies: every sharded array argument is brought up to date with the
+// parallel_reduce front doors route here instead of the single-device
+// executors: every sharded array argument is brought up to date with the
 // set's plan (reshard / halo growth), halos are exchanged asynchronously
 // on the per-shard streams when the launch declares a stencil radius, and
 // the kernel then runs once per device over that device's contiguous chunk
@@ -11,9 +11,9 @@
 // throughput, and the plan rebalances between launches when the measured
 // imbalance exceeds the threshold.
 //
-// NOT a standalone header: parallel_for.hpp includes it after the
-// launch-config helpers (gpu_config_*) it reuses, and parallel_reduce.hpp
-// builds the sharded reduction on the same visitors.
+// shard_launch owns the staging and the per-device loop; parallel_for.hpp
+// runs a simulated-GPU launch per device inside it, and parallel_reduce.hpp
+// a tree reduction whose partials it combines in device order.
 #pragma once
 
 #include <cstdint>
@@ -23,7 +23,7 @@
 #include "core/array.hpp"
 #include "core/device_set.hpp"
 #include "core/launch_desc.hpp"
-#include "sim/launch.hpp"
+#include "prof/prof.hpp"
 #include "sim/stream.hpp"
 #include "support/error.hpp"
 
@@ -138,23 +138,35 @@ index_t shard_stage_args(device_set& ds, const hints& h, Args&... args) {
   return radius;
 }
 
-/// Sharded parallel_for body.  One prof scope covers the whole launch; the
-/// per-device loop chunks the slowest launch dimension under the set's
-/// current weights, binds every array to its local piece, waits for that
-/// device's halo stream when ghosts were exchanged, and launches with
-/// global indices.  Devices advance concurrently (each on its own clock);
-/// ds.sync() is the wall-time barrier.
-template <int Rank, class F, class... Args>
-void shard_execute_for(device_set& ds, const launch_desc& d, F&& f,
-                       Args&&... args) {
+/// The kernel `kern(i, j, k)` with the slowest launch index shifted by
+/// `off`: a shard's local launch indices become global ones.
+template <int Rank, class K>
+auto shift_slow(index_t off, const K& kern) {
+  return [off, &kern](index_t i, index_t j, index_t k) {
+    return kern(Rank == 1 ? i + off : i, Rank == 2 ? j + off : j,
+                Rank == 3 ? k + off : k);
+  };
+}
+
+/// The sharded launch loop shared by parallel_for and parallel_reduce.  One
+/// prof scope covers the whole launch; the per-device loop chunks the
+/// slowest launch dimension under the set's current weights, binds every
+/// array to its local piece, waits for that device's halo stream when
+/// ghosts were exchanged, and calls `on_device(dev, local, offset)`:
+/// `local` is `d` with the slowest extent cut to the device's chunk, whose
+/// first global slow index is `offset`.  Devices advance concurrently (each
+/// on its own clock); ds.sync() is the wall-time barrier.
+template <int Rank, class OnDevice, class... Args>
+void shard_launch(device_set& ds, jaccx::prof::construct kind,
+                  const launch_desc& d, const OnDevice& on_device,
+                  Args&... args) {
   static_assert(Rank == 1 || Rank == 2 || Rank == 3);
   const index_t radius = shard_stage_args(ds, d.h, args...);
   const index_t slow = Rank == 1 ? d.rows : Rank == 2 ? d.cols : d.depth;
   const index_t fast = Rank == 1 ? 1 : Rank == 2 ? d.rows : d.rows * d.cols;
   const jaccx::prof::kernel_scope prof_scope(
-      jaccx::prof::construct::parallel_for, d.h.name,
-      static_cast<std::uint64_t>(d.count()), d.h.flops_per_index,
-      d.h.bytes_per_index, to_string(ds.target()));
+      kind, d.h.name, static_cast<std::uint64_t>(d.count()),
+      d.h.flops_per_index, d.h.bytes_per_index, to_string(ds.target()));
   for (int dv = 0; dv < ds.devices(); ++dv) {
     const auto owned = ds.chunk(slow, dv);
     if (owned.empty()) {
@@ -168,37 +180,12 @@ void shard_execute_for(device_set& ds, const launch_desc& d, F&& f,
     }
     (shard_bind_arg(dv, args), ...);
     const double t0 = dev.tl().now_us();
-    const index_t local = owned.size();
-    if constexpr (Rank == 1) {
-      const auto cfg = gpu_config_1d(dev, local, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t li = ctx.global_x();
-        if (li < local) {
-          f(owned.begin + li, args...);
-        }
-      });
-    } else if constexpr (Rank == 2) {
-      const auto cfg = gpu_config_2d(d.rows, local, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t i = ctx.global_x();
-        const index_t lj = ctx.global_y();
-        if (i < d.rows && lj < local) {
-          f(i, owned.begin + lj, args...);
-        }
-      });
-    } else {
-      const auto cfg = gpu_config_3d(dims3{d.rows, d.cols, local}, d.h);
-      jaccx::sim::launch(dev, cfg, [&](jaccx::sim::kernel_ctx& ctx) {
-        const index_t i = ctx.global_x();
-        const index_t j = ctx.global_y();
-        const index_t lk = ctx.global_z();
-        if (i < d.rows && j < d.cols && lk < local) {
-          f(i, j, owned.begin + lk, args...);
-        }
-      });
-    }
+    launch_desc local = d;
+    (Rank == 1 ? local.rows : Rank == 2 ? local.cols : local.depth) =
+        owned.size();
+    on_device(dev, local, owned.begin);
     (shard_unbind_arg(args), ...);
-    ds.note_launch(dv, dev.tl().now_us() - t0, local * fast, d.h);
+    ds.note_launch(dv, dev.tl().now_us() - t0, owned.size() * fast, d.h);
   }
   ds.maybe_rebalance();
 }

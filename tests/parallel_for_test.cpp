@@ -175,7 +175,8 @@ TEST(ThreadsDecomposition, WideShort2DUsesAllWorkers) {
   std::atomic<long> checksum{0};
   std::mutex m;
   std::set<std::thread::id> participants;
-  detail::threads_for_2d(p, dims2{rows, cols}, [&](index_t i, index_t j) {
+  detail::threads_for<2>(p, detail::launch_desc::d2({}, dims2{rows, cols}),
+                         [&](index_t i, index_t j, index_t) {
     checksum.fetch_add(i + j * rows, std::memory_order_relaxed);
     if ((i & 8191) == 0) {
       std::lock_guard<std::mutex> lock(m);
@@ -199,7 +200,8 @@ TEST(ThreadsDecomposition, WideShort3DUsesAllWorkers) {
   std::atomic<long> checksum{0};
   std::mutex m;
   std::set<std::thread::id> participants;
-  detail::threads_for_3d(p, d, [&](index_t i, index_t j, index_t k) {
+  detail::threads_for<3>(p, detail::launch_desc::d3({}, d),
+                         [&](index_t i, index_t j, index_t k) {
     checksum.fetch_add(i + d.rows * (j + d.cols * k),
                        std::memory_order_relaxed);
     if ((i & 4095) == 0) {
@@ -219,7 +221,8 @@ TEST(ThreadsDecomposition, FullyFlattened3DCoversEveryCell) {
   const dims3 d{1000, 2, 2};
   std::vector<std::atomic<int>> hits(
       static_cast<std::size_t>(d.rows * d.cols * d.depth));
-  detail::threads_for_3d(p, d, [&](index_t i, index_t j, index_t k) {
+  detail::threads_for<3>(p, detail::launch_desc::d3({}, d),
+                         [&](index_t i, index_t j, index_t k) {
     hits[static_cast<std::size_t>(i + d.rows * (j + d.cols * k))].fetch_add(
         1, std::memory_order_relaxed);
   });
@@ -237,13 +240,15 @@ TEST(ThreadsDecomposition, TiledMatchesColumnwise2D) {
   std::vector<double> columnwise(tiled.size());
 
   jaccx::pool::thread_pool wide(4);
-  detail::threads_for_2d(wide, dims2{rows, cols}, [&](index_t i, index_t j) {
+  detail::threads_for<2>(wide, detail::launch_desc::d2({}, dims2{rows, cols}),
+                         [&](index_t i, index_t j, index_t) {
     tiled[static_cast<std::size_t>(i + j * rows)] =
         std::sin(0.1 * static_cast<double>(i)) + static_cast<double>(j);
   });
   jaccx::pool::thread_pool narrow(1);
-  detail::threads_for_2d(narrow, dims2{rows, cols},
-                         [&](index_t i, index_t j) {
+  detail::threads_for<2>(narrow,
+                         detail::launch_desc::d2({}, dims2{rows, cols}),
+                         [&](index_t i, index_t j, index_t) {
     columnwise[static_cast<std::size_t>(i + j * rows)] =
         std::sin(0.1 * static_cast<double>(i)) + static_cast<double>(j);
   });
@@ -256,7 +261,8 @@ TEST(ThreadsDecomposition, DynamicScheduleCovers2D) {
   const dims2 d{512, 2};
   std::vector<std::atomic<int>> hits(
       static_cast<std::size_t>(d.rows * d.cols));
-  detail::threads_for_2d(p, d, [&](index_t i, index_t j) {
+  detail::threads_for<2>(p, detail::launch_desc::d2({}, d),
+                         [&](index_t i, index_t j, index_t) {
     hits[static_cast<std::size_t>(i + j * d.rows)].fetch_add(
         1, std::memory_order_relaxed);
   });

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <string>
 #include <thread>
@@ -32,6 +33,35 @@ std::vector<double> iota_vec(index_t n, double start) {
   }
   return v;
 }
+
+/// RAII: pins JACC_QUEUES=2 and re-initializes, so threads queues run on
+/// two real async lanes whatever this machine's width; restores the
+/// previous setting (and lane layout) on exit.  initialize() resets the
+/// backend, so set it after constructing this.
+class two_async_lanes {
+public:
+  two_async_lanes() {
+    const char* old = std::getenv("JACC_QUEUES");
+    had_ = old != nullptr;
+    saved_ = had_ ? old : "";
+    ::setenv("JACC_QUEUES", "2", 1);
+    initialize();
+  }
+  ~two_async_lanes() {
+    if (had_) {
+      ::setenv("JACC_QUEUES", saved_.c_str(), 1);
+    } else {
+      ::unsetenv("JACC_QUEUES");
+    }
+    initialize();
+  }
+  two_async_lanes(const two_async_lanes&) = delete;
+  two_async_lanes& operator=(const two_async_lanes&) = delete;
+
+private:
+  bool had_ = false;
+  std::string saved_;
+};
 
 class QueueTest : public ::testing::Test {
 protected:
@@ -252,6 +282,86 @@ TEST_F(QueueTest, QueuedReduceIsQueueOrderedButHostBlocking) {
   EXPECT_DOUBLE_EQ(direct, queued);
   EXPECT_GT(q.now_us(), before); // charges landed on the queue's stream
 
+  q.synchronize();
+  dev.reset_clock();
+}
+
+TEST_F(QueueTest, ScopedMinMaxSeeQueuedWrites) {
+  // Inside a queue_scope the min/max reductions are queue-ordered like
+  // every other construct: on async lanes they must not run ahead of the
+  // queued writes (and race with them) on the default pool.
+  const two_async_lanes lanes;
+  set_backend(backend::threads);
+  const index_t n = 1024;
+  array<double> v(std::vector<double>(static_cast<std::size_t>(n), 1.0));
+  const auto value = [](index_t i, const array<double>& a) {
+    return static_cast<double>(a[i]);
+  };
+  queue q;
+  double mx = 0.0;
+  double mn = 0.0;
+  double sum = 0.0;
+  {
+    const queue_scope scope(q);
+    // Hold the lane so the writes are still pending when the reductions
+    // are issued.
+    parallel_for(1, [](index_t) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    });
+    parallel_for(n, [](index_t i, array<double>& a) { a[i] = 100.0; }, v);
+    mx = parallel_reduce_max(n, value, v);
+    mn = parallel_reduce_min(n, value, v);
+    sum = parallel_reduce(n, value, v);
+  }
+  q.synchronize();
+  EXPECT_EQ(mx, 100.0);
+  EXPECT_EQ(mn, 100.0);
+  EXPECT_EQ(sum, 100.0 * static_cast<double>(n));
+}
+
+TEST_F(QueueTest, Scoped3DReduceRunsOnTheQueue) {
+  const dims3 d{37, 11, 5};
+  const index_t n = d.rows * d.cols * d.depth;
+  const auto term = [d](index_t i, index_t j, index_t k,
+                        const array<double>& x) {
+    return static_cast<double>(x[i + d.rows * (j + d.cols * k)]) *
+           static_cast<double>(k + 1);
+  };
+  {
+    // Threads lanes: integer-valued terms, so any association of the sum
+    // gives the identical double whatever the lane pool's width.
+    const two_async_lanes lanes;
+    set_backend(backend::threads);
+    array<double> x(iota_vec(n, 1.0));
+    const double sync = parallel_reduce(d, term, x);
+    queue q;
+    double scoped = 0.0;
+    {
+      const queue_scope scope(q);
+      scoped = parallel_reduce(d, term, x);
+    }
+    EXPECT_EQ(scoped, sync);
+    EXPECT_EQ(q.parallel_reduce(d, term, x).get(), sync);
+    EXPECT_EQ(parallel_reduce(q, d, term, x), sync);
+    q.synchronize();
+  }
+  set_backend(backend::cuda_a100);
+  auto& dev = *backend_device(backend::cuda_a100);
+  array<double> x(iota_vec(n, 0.5));
+  (void)parallel_reduce(d, term, x); // grow the reduce workspace once
+  dev.reset_clock();
+  const double eager = parallel_reduce(d, term, x);
+  const double eager_us = dev.tl().now_us();
+  queue q;
+  const double t0 = q.now_us();
+  double scoped = 0.0;
+  {
+    const queue_scope scope(q);
+    scoped = parallel_reduce(d, term, x);
+  }
+  EXPECT_EQ(scoped, eager);
+  EXPECT_DOUBLE_EQ(q.now_us() - t0, eager_us);
+  EXPECT_DOUBLE_EQ(dev.tl().now_us(), eager_us); // nothing hit the device
   q.synchronize();
   dev.reset_clock();
 }
