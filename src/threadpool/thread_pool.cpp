@@ -213,6 +213,16 @@ void thread_pool::run_region(index_t n, region_fn fn, void* ctx) {
     return;
   }
 
+  // One region at a time: the barrier assumes a single caller.  A second
+  // host thread (two serve workers on the synchronous path) or a kernel
+  // re-entering its own pool runs its whole range inline instead, the same
+  // legal distribution as the sub-width path.  The acquire pairs with the
+  // previous owner's release, ordering its descriptor writes before ours.
+  if (in_region_.exchange(true, std::memory_order_acquire)) {
+    fn(ctx, 0, range{0, n});
+    return;
+  }
+
   schedule s = sched_;
   if (s.kind == schedule_kind::dynamic_chunks && s.grain <= 0) {
     const index_t auto_grain = n / (8 * static_cast<index_t>(width_));
@@ -279,6 +289,7 @@ void thread_pool::run_region(index_t n, region_fn fn, void* ctx) {
     counters_[0].spin_ns.fetch_add(jaccx::prof::now_ns() - t_busy1,
                                    std::memory_order_relaxed);
   }
+  in_region_.store(false, std::memory_order_release);
 }
 
 void thread_pool::worker_loop(unsigned worker) {

@@ -92,7 +92,9 @@ public:
   /// Raw fork/join entry point: calls fn(ctx, worker, chunk) with disjoint
   /// chunks covering [0, n) exactly once.  Under static scheduling each
   /// worker receives at most one chunk; under dynamic scheduling a worker
-  /// may receive several.  Blocks until all chunks complete.  `fn` must not
+  /// may receive several.  Blocks until all chunks complete.  Safe to call
+  /// from several host threads at once: while one region is in flight, any
+  /// other caller runs its whole range inline as worker 0.  `fn` must not
   /// throw; kernels with failure modes should record status out-of-band
   /// (E.28 is out of scope for hot loops).
   using region_fn = void (*)(void* ctx, unsigned worker, range chunk);
@@ -165,6 +167,8 @@ private:
   alignas(cache_line_bytes) std::atomic<unsigned> parked_{0};
   alignas(cache_line_bytes) std::atomic<std::uint32_t> caller_waiting_{0};
   alignas(cache_line_bytes) std::atomic<bool> shutdown_{false};
+  /// Held by the host thread whose region owns the barrier.
+  alignas(cache_line_bytes) std::atomic<bool> in_region_{false};
 
   unsigned width_ = 1;
   std::string label_;

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "threadpool/thread_pool.hpp"
@@ -291,6 +292,31 @@ TEST(ThreadPool, NestedDataParallelWritesDoNotRace) {
   for (index_t i = 0; i < n; i += 997) {
     EXPECT_DOUBLE_EQ(x[static_cast<std::size_t>(i)], 6.0);
   }
+}
+
+TEST(ThreadPool, ConcurrentHostCallersEachCoverTheirRange) {
+  // Two host threads share one pool, as two serve workers on the
+  // synchronous path share the default pool.  Whichever caller finds a
+  // region in flight runs inline; every region still visits each of its
+  // indices exactly once.
+  thread_pool p(4);
+  const index_t n = 64;
+  const auto hammer = [&](long& visits) {
+    for (int round = 0; round < 2000; ++round) {
+      std::atomic<long> count{0};
+      p.parallel_for_index(n, [&](index_t) {
+        count.fetch_add(1, std::memory_order_relaxed);
+      });
+      visits += count.load() == n ? 1 : 0;
+    }
+  };
+  long a = 0;
+  long b = 0;
+  std::thread other([&] { hammer(b); });
+  hammer(a);
+  other.join();
+  EXPECT_EQ(a, 2000);
+  EXPECT_EQ(b, 2000);
 }
 
 } // namespace
