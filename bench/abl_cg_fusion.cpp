@@ -1,6 +1,7 @@
-// Ablation: two-level kernel fusion on the CG BLAS chain (docs/FUSION.md).
+// Ablation: expression-layer fusion on the CG BLAS chain (docs/FUSION.md).
 //
-// Runs one Fig. 12 paper iteration per (arch, fuse mode) and splits the
+// Runs one Fig. 12 iteration per arch in both forms — paper_iteration (the
+// listing's 12 launches) and paper_iteration_fused — and splits the
 // simulated DRAM traffic the cache model charged into the matvec and the
 // BLAS chain (every kernel named "cg.*"; the matvec is
 // "jacc.tridiag_matvec").  The fused chain re-groups the listing's 12
@@ -26,20 +27,21 @@ struct chain_stats {
   double iter_us = 0.0;    ///< simulated time of the whole iteration
 };
 
-/// One warmed paper iteration on `a` under fuse mode `m`, with the event
-/// log capturing per-kernel DRAM tallies.
-chain_stats measure_sim(const arch& a, jacc::fuse_mode m, index_t n) {
+using iteration_fn = void (*)(jaccx::cg::paper_state&);
+
+/// One warmed `iteration` on `a`, with the event log capturing per-kernel
+/// DRAM tallies.
+chain_stats measure_sim(const arch& a, iteration_fn iteration, index_t n) {
   const jacc::scoped_backend sb(a.be);
-  const jacc::scoped_fuse sf(m);
   auto& dev = dev_of(a);
   jaccx::cg::paper_state st(n);
   dev.tl().set_logging(false);
   dev.cache().reset();
-  jaccx::cg::paper_iteration(st); // warm-up: steady-state modeled cache
+  iteration(st); // warm-up: steady-state modeled cache
   dev.reset_clock();
   dev.tl().set_logging(true);
   const double t0 = dev.tl().now_us();
-  jaccx::cg::paper_iteration(st);
+  iteration(st);
   const double t1 = dev.tl().now_us();
   chain_stats out;
   out.iter_us = t1 - t0;
@@ -58,14 +60,13 @@ chain_stats measure_sim(const arch& a, jacc::fuse_mode m, index_t n) {
 }
 
 /// Real wall-clock per paper iteration on the threads backend.
-double measure_threads_us(jacc::fuse_mode m, index_t n, int reps) {
+double measure_threads_us(iteration_fn iteration, index_t n, int reps) {
   const jacc::scoped_backend sb(jacc::backend::threads);
-  const jacc::scoped_fuse sf(m);
   jaccx::cg::paper_state st(n);
-  jaccx::cg::paper_iteration(st); // warm-up
+  iteration(st); // warm-up
   const auto t0 = std::chrono::steady_clock::now();
   for (int i = 0; i < reps; ++i) {
-    jaccx::cg::paper_iteration(st);
+    iteration(st);
   }
   const auto t1 = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(t1 - t0).count() /
@@ -88,16 +89,18 @@ int main() {
   const index_t n = index_t{1} << 22;
   bool ok = true;
 
-  std::puts("=== CG BLAS-chain fusion ablation: JACC_FUSE=none vs all ===");
-  std::printf("%-8s %14s %14s %7s %14s %14s\n", "arch", "chain none B",
-              "chain all B", "ratio", "iter none B", "iter all B");
+  std::puts("=== CG BLAS-chain fusion ablation: paper_iteration vs "
+            "paper_iteration_fused ===");
+  std::printf("%-8s %14s %14s %7s %14s %14s\n", "arch", "chain eager B",
+              "chain fused B", "ratio", "iter eager B", "iter fused B");
   for (const auto& a : all_archs) {
     if (a.be != jacc::backend::hip_mi100 &&
         a.be != jacc::backend::cuda_a100) {
       continue; // one small-cache and one large-cache testbed suffice
     }
-    const chain_stats eager = measure_sim(a, jacc::fuse_mode::none, n);
-    const chain_stats fused = measure_sim(a, jacc::fuse_mode::all, n);
+    const chain_stats eager = measure_sim(a, jaccx::cg::paper_iteration, n);
+    const chain_stats fused =
+        measure_sim(a, jaccx::cg::paper_iteration_fused, n);
     const double ratio = fused.chain_dram > 0.0
                              ? eager.chain_dram / fused.chain_dram
                              : 0.0;
@@ -117,9 +120,9 @@ int main() {
   const index_t n_threads = index_t{1} << 20;
   const int reps = 5;
   const double wall_eager =
-      measure_threads_us(jacc::fuse_mode::none, n_threads, reps);
+      measure_threads_us(jaccx::cg::paper_iteration, n_threads, reps);
   const double wall_fused =
-      measure_threads_us(jacc::fuse_mode::all, n_threads, reps);
+      measure_threads_us(jaccx::cg::paper_iteration_fused, n_threads, reps);
   std::printf("\nthreads  n=%lld: eager %9.1f us/iter, fused %9.1f us/iter "
               "-> %.2fx\n",
               static_cast<long long>(n_threads), wall_eager, wall_fused,

@@ -1,18 +1,21 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus a ThreadSanitizer pass over the fork/join pool.
+# Tier-1 verification plus AddressSanitizer and ThreadSanitizer passes.
 #
-#   scripts/verify.sh          full build + ctest + TSan pool/parallel_for run
+#   scripts/verify.sh          full build + ctest + ASan ctest + TSan runs
+#   scripts/verify.sh --asan   ASan ctest pass only
 #   scripts/verify.sh --tsan   TSan pass only
 #
-# The TSan pass uses a separate build tree (build-tsan) configured with
-# -DJACCX_SANITIZE=thread so barrier/scheduling races are caught at PR time
-# without slowing the main build.
+# Each sanitizer pass uses its own build tree (build-asan, build-tsan)
+# configured with -DJACCX_SANITIZE=address|thread, so memory errors and
+# barrier/scheduling races are caught at PR time without slowing the main
+# build.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 JOBS=${JOBS:-$(nproc)}
+MODE=${1:-}
 RUN_FULL=1
-if [[ "${1:-}" == "--tsan" ]]; then
+if [[ -n "$MODE" ]]; then
   RUN_FULL=0
 fi
 
@@ -35,13 +38,6 @@ if [[ $RUN_FULL -eq 1 ]]; then
   JACC_QUEUES=2 JACC_MEM_POOL=none ctest --test-dir build \
     -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|PipelinedSolve|GraphedSolve|Shard|Reduce' \
     --output-on-failure -j"$JOBS"
-  # Kernel fusion (docs/FUSION.md): the whole suite must pass with both
-  # fusion levels forced on, and with fusion forced off — `none` must keep
-  # the seed's launch sequence and simulated charges bit for bit (the
-  # Fusion.NoneModeMatchesSeedChargesExactly test pins the charges; these
-  # legs prove nothing else quietly depends on the mode).
-  JACC_FUSE=all ctest --test-dir build --output-on-failure -j"$JOBS"
-  JACC_FUSE=none ctest --test-dir build --output-on-failure -j"$JOBS"
   # Auto-sharding (docs/SHARDING.md): the whole suite must pass with
   # sharding explicitly forced on — the default resolution, so this proves
   # no test quietly depends on JACC_SHARD being unset.  The shard suite
@@ -116,6 +112,20 @@ if [[ $RUN_FULL -eq 1 ]]; then
   rm -f trace_verify_*.json
 fi
 
+# AddressSanitizer over the whole tier-1 suite, including the process-exit
+# regression (ProfExit.RooflineFeedbackAtExit): prof's atexit finalize must
+# not touch destroyed statics.
+if [[ $RUN_FULL -eq 1 || "$MODE" == "--asan" ]]; then
+  cmake -B build-asan -S . -DJACCX_SANITIZE=address -DJACC_BUILD_BENCH=OFF \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  cmake --build build-asan -j"$JOBS"
+  ctest --test-dir build-asan --output-on-failure -j"$JOBS"
+fi
+if [[ "$MODE" == "--asan" ]]; then
+  echo "verify: OK"
+  exit 0
+fi
+
 cmake -B build-tsan -S . -DJACCX_SANITIZE=thread \
   -DJACC_BUILD_BENCH=OFF -DJACC_BUILD_EXAMPLES=OFF \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
@@ -174,21 +184,18 @@ JACC_NUM_THREADS=4 JACC_QUEUES=2 ./build-tsan/tests/tests_core \
 JACC_NUM_THREADS=4 JACC_QUEUES=2 JACC_MEM_POOL=none \
   ./build-tsan/tests/tests_core --gtest_filter="$GRAPH_TSAN_FILTER"
 
-# Kernel fusion under forced lanes with both levels on: fused expr sweeps
-# and fused replay nodes run member bodies back-to-back on the worker pool,
-# which is the new race surface this PR adds.  The sim-charge tests stay
-# out for the SIMT-fiber reason above.
+# Kernel fusion under forced lanes: fused expr sweeps run several
+# statements per index on the worker pool.  The sim-charge tests stay out
+# for the SIMT-fiber reason above.
 FUSION_TSAN_FILTER='Fusion.*:-Fusion.ExprSimChargesLessDram:Fusion.NoneModeMatchesSeedChargesExactly:Fusion.CgSolveExprBitExactSerialAndSim'
-JACC_NUM_THREADS=4 JACC_QUEUES=2 JACC_FUSE=all ./build-tsan/tests/tests_core \
+JACC_NUM_THREADS=4 JACC_QUEUES=2 ./build-tsan/tests/tests_core \
   --gtest_filter="$FUSION_TSAN_FILTER"
 
 # Serving scheduler (docs/SERVING.md): worker dispatch, job-handle
 # signalling, WFQ bookkeeping, the admission/pressure callback, and the
 # scratch-lease free list all race with the lanes under JACC_QUEUES=2.
-# The sim-stream test stays out for the SIMT-fiber reason above; the
-# lane-reinit test re-execs initialize() and is covered by the non-TSan
-# ctest runs.
-SERVE_TSAN_FILTER='ServeTest.*:-ServeTest.SimTenantsLandOnPerTenantSlotStreams:ServeTest.LaneReresolutionAcrossInitializeMidServing'
+# The sim-stream test stays out for the SIMT-fiber reason above.
+SERVE_TSAN_FILTER='ServeTest.*:-ServeTest.SimTenantsLandOnPerTenantSlotStreams'
 JACC_NUM_THREADS=4 JACC_QUEUES=2 ./build-tsan/tests/tests_apps \
   --gtest_filter="$SERVE_TSAN_FILTER"
 

@@ -6,20 +6,7 @@
 
 namespace jaccx::blas {
 
-// The level-1 drivers route through the jacc::expr layer under
-// JACC_FUSE=expr|all; each expression mirrors the eager kernel's exact
-// arithmetic shape (same operand order, same contractions), so the two
-// paths are bitwise-identical per element and only the launch accounting
-// differs (docs/FUSION.md).  The 2-D forms take the expr path only when
-// (rows, cols) covers the whole array — a sub-block is not contiguous
-// under the flat column-major read the expression leaves use.
-
 void jacc_axpy(index_t n, double alpha, darray& x, const darray& y) {
-  if (jacc::fuse_expr()) {
-    jacc::eval("jacc.axpy", n,
-               jacc::assign(x, jacc::ex(x) + alpha * jacc::ex(y)));
-    return;
-  }
   jacc::parallel_for(jacc::hints{.name = "jacc.axpy",
                                  .flops_per_index = 2.0,
                                  .bytes_per_index = 24.0},
@@ -27,9 +14,6 @@ void jacc_axpy(index_t n, double alpha, darray& x, const darray& y) {
 }
 
 double jacc_dot(index_t n, const darray& x, const darray& y) {
-  if (jacc::fuse_expr()) {
-    return jacc::dot("jacc.dot", n, jacc::ex(x), jacc::ex(y));
-  }
   return jacc::parallel_reduce(
       jacc::hints{.name = "jacc.dot", .flops_per_index = 2.0,
                   .bytes_per_index = 16.0},
@@ -38,12 +22,6 @@ double jacc_dot(index_t n, const darray& x, const darray& y) {
 
 void jacc_axpy2d(index_t rows, index_t cols, double alpha, darray2d& x,
                  const darray2d& y) {
-  if (jacc::fuse_expr() && rows == x.rows() && cols == x.cols() &&
-      rows == y.rows() && cols == y.cols()) {
-    jacc::eval("jacc.axpy2d", rows * cols,
-               jacc::assign(x, jacc::ex(x) + alpha * jacc::ex(y)));
-    return;
-  }
   jacc::parallel_for(
       jacc::hints{.name = "jacc.axpy2d", .flops_per_index = 2.0,
                   .bytes_per_index = 24.0},
@@ -52,12 +30,6 @@ void jacc_axpy2d(index_t rows, index_t cols, double alpha, darray2d& x,
 
 double jacc_dot2d(index_t rows, index_t cols, const darray2d& x,
                   const darray2d& y) {
-  // The canonical 2-D reduce flattens to idx = j*rows + i, so the flat
-  // expression dot accumulates in the identical order: bit-exact.
-  if (jacc::fuse_expr() && rows == x.rows() && cols == x.cols() &&
-      rows == y.rows() && cols == y.cols()) {
-    return jacc::dot("jacc.dot2d", rows * cols, jacc::ex(x), jacc::ex(y));
-  }
   return jacc::parallel_reduce(
       jacc::hints{.name = "jacc.dot2d", .flops_per_index = 2.0,
                   .bytes_per_index = 16.0},
@@ -65,10 +37,6 @@ double jacc_dot2d(index_t rows, index_t cols, const darray2d& x,
 }
 
 void jacc_scal(index_t n, double alpha, darray& x) {
-  if (jacc::fuse_expr()) {
-    jacc::eval("jacc.scal", n, jacc::assign(x, jacc::ex(x) * alpha));
-    return;
-  }
   jacc::parallel_for(jacc::hints{.name = "jacc.scal",
                                  .flops_per_index = 1.0,
                                  .bytes_per_index = 16.0},
@@ -76,10 +44,6 @@ void jacc_scal(index_t n, double alpha, darray& x) {
 }
 
 void jacc_copy(index_t n, const darray& x, darray& y) {
-  if (jacc::fuse_expr()) {
-    jacc::eval("jacc.copy", n, jacc::assign(y, jacc::ex(x)));
-    return;
-  }
   jacc::parallel_for(jacc::hints{.name = "jacc.copy", .bytes_per_index = 16.0},
                      n, copy, x, y);
 }

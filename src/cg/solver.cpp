@@ -6,103 +6,60 @@
 namespace jaccx::cg {
 namespace {
 
+/// CG setup shared by cg_loop and cg_loop_graphed: r = b - A x and p = r in
+/// one sweep (the copy reads the residual just stored at the same index,
+/// the same dataflow as back-to-back kernels), then bb = b . b through the
+/// expression dot (docs/FUSION.md).  Returns bb; when it is 0, x = 0 is
+/// exact and has been stored.
+template <class Apply>
+double cg_setup(index_t n, const Apply& apply, const darray& b, darray& x,
+                darray& r, darray& p, darray& s) {
+  apply(x, s);
+  jacc::eval("cg.setup", n, jacc::assign(r, jacc::ex(b) - jacc::ex(s)),
+             jacc::assign(p, jacc::ex(r)));
+  const double bb = jacc::dot("cg.dot", n, jacc::ex(b), jacc::ex(b));
+  if (bb == 0.0) {
+    jacc::parallel_for(
+        jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
+        [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
+  }
+  return bb;
+}
+
 /// The shared CG loop; Apply is `void(const darray& in, darray& out)`.
 template <class Apply>
 cg_result cg_loop(index_t n, const Apply& apply, const darray& b, darray& x,
                   const cg_options& opts) {
   // Iteration scratch is fully overwritten before its first read (s by
-  // apply, r by cg.residual, p by cg.copy), so skip the zero fill; under
+  // apply, r and p by cg.setup), so skip the zero fill; under
   // JACC_MEM_POOL=bucket the storage itself is recycled across solves.
   darray r(jacc::uninit, n);
   darray p(jacc::uninit, n);
   darray s(jacc::uninit, n);
 
-  // r = b - A x;  p = r.  Under JACC_FUSE=expr|all the residual and the
-  // copy share one sweep (the copy reads the residual just stored at the
-  // same index — identical dataflow to the back-to-back kernels), and
-  // every dot reduces through the expression layer without a workspace
-  // pass over double-counted operands (docs/FUSION.md).
-  apply(x, s);
-  if (jacc::fuse_expr()) {
-    jacc::eval("cg.setup", n, jacc::assign(r, jacc::ex(b) - jacc::ex(s)),
-               jacc::assign(p, jacc::ex(r)));
-  } else {
-    jacc::parallel_for(
-        jacc::hints{.name = "cg.residual", .flops_per_index = 2.0,
-                    .bytes_per_index = 24.0},
-        n,
-        [](index_t i, const darray& b_, const darray& s_, darray& r_) {
-          r_[i] = static_cast<double>(b_[i]) - static_cast<double>(s_[i]);
-        },
-        b, s, r);
-    jacc::parallel_for(jacc::hints{.name = "cg.copy", .bytes_per_index = 16.0},
-                       n, copy_kernel, r, p);
-  }
-
-  const double bb =
-      jacc::fuse_expr()
-          ? jacc::dot("cg.dot", n, jacc::ex(b), jacc::ex(b))
-          : jacc::parallel_reduce(
-                jacc::hints{.name = "cg.dot", .flops_per_index = 2.0,
-                            .bytes_per_index = 16.0},
-                n, blas::dot, b, b);
+  const double bb = cg_setup(n, apply, b, x, r, p, s);
   if (bb == 0.0) {
-    // b = 0: x = 0 is exact.
-    jacc::parallel_for(
-        jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
-        [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
     return {0, 0.0, true};
   }
-
-  double rr = jacc::fuse_expr()
-                  ? jacc::dot("cg.dot", n, jacc::ex(r), jacc::ex(r))
-                  : jacc::parallel_reduce(
-                        jacc::hints{.name = "cg.dot", .flops_per_index = 2.0,
-                                    .bytes_per_index = 16.0},
-                        n, blas::dot, r, r);
+  double rr = jacc::dot("cg.dot", n, jacc::ex(r), jacc::ex(r));
   const double stop = opts.tolerance * opts.tolerance * bb;
 
   cg_result out;
   while (out.iterations < opts.max_iterations && rr > stop) {
     apply(p, s);
-    if (jacc::fuse_expr()) {
-      // x += alpha p; r -= alpha s; rr = r . r — three eager sweeps (24 +
-      // 24 + 16 B/index) collapse into one 48 B/index launch whose dot
-      // term reads the post-update r, exactly as the unfused sequence
-      // does.  Statement order and expression shapes match the eager
-      // kernels, so iterates are bit-identical.
-      const double ps = jacc::dot("cg.dot", n, jacc::ex(p), jacc::ex(s));
-      const double alpha = rr / ps;
-      const double rr_new = jacc::eval_dot(
-          "cg.fused_update", n, jacc::ex(r), jacc::ex(r),
-          jacc::assign(x, jacc::ex(x) + alpha * jacc::ex(p)),
-          jacc::assign(r, jacc::ex(r) + (-alpha) * jacc::ex(s)));
-      const double beta = rr_new / rr;
-      jacc::eval("cg.xpay", n,
-                 jacc::assign(p, jacc::ex(r) + beta * jacc::ex(p)));
-      rr = rr_new;
-      ++out.iterations;
-      continue;
-    }
-    const double ps = jacc::parallel_reduce(
-        jacc::hints{.name = "cg.dot", .flops_per_index = 2.0,
-                    .bytes_per_index = 16.0},
-        n, blas::dot, p, s);
+    const double ps = jacc::dot("cg.dot", n, jacc::ex(p), jacc::ex(s));
     const double alpha = rr / ps;
-    jacc::parallel_for(jacc::hints{.name = "cg.axpy", .flops_per_index = 2.0,
-                                   .bytes_per_index = 24.0},
-                       n, blas::axpy, alpha, x, p);
-    jacc::parallel_for(jacc::hints{.name = "cg.axpy", .flops_per_index = 2.0,
-                                   .bytes_per_index = 24.0},
-                       n, blas::axpy, -alpha, r, s);
-    const double rr_new = jacc::parallel_reduce(
-        jacc::hints{.name = "cg.dot", .flops_per_index = 2.0,
-                    .bytes_per_index = 16.0},
-        n, blas::dot, r, r);
+    // x += alpha p; r -= alpha s; rr = r . r in one 48 B/index launch (three
+    // separate sweeps would move 24 + 24 + 16 B/index).  The dot term reads
+    // the post-update r, and statement order and expression shapes match
+    // the axpy kernels, so iterates equal the unfused sequence's.
+    const double rr_new = jacc::eval_dot(
+        "cg.fused_update", n, jacc::ex(r), jacc::ex(r),
+        jacc::assign(x, jacc::ex(x) + alpha * jacc::ex(p)),
+        jacc::assign(r, jacc::ex(r) + (-alpha) * jacc::ex(s)));
     const double beta = rr_new / rr;
-    jacc::parallel_for(jacc::hints{.name = "cg.xpay", .flops_per_index = 2.0,
-                                   .bytes_per_index = 24.0},
-                       n, xpay_kernel, beta, r, p);
+    jacc::eval("cg.xpay", n,
+               jacc::assign(p, jacc::ex(r) + beta * jacc::ex(p)));
     rr = rr_new;
     ++out.iterations;
   }
@@ -202,13 +159,14 @@ cg_result cg_loop_pipelined(index_t n, const Apply& apply, const darray& b,
   return out;
 }
 
-/// The graph-replay loop.  Setup (residual, p, bb, rr) is the sync model,
-/// identical to cg_loop; then ONE iteration is captured — with the
-/// alpha/beta plumbing recorded as future::then host nodes writing
-/// scalar_bindings the kernels read — and replayed to convergence.  The
-/// per-iteration operation order on the data is exactly cg_loop's
-/// (matvec, ps dot, x axpy, r axpy, rr dot, p xpay), so iterates match
-/// bit for bit wherever the reduction tree matches.
+/// The graph-replay loop.  Setup (residual, p, bb, rr) is cg_loop's; then
+/// ONE iteration is captured — with the alpha/beta plumbing recorded as
+/// future::then host nodes writing scalar_bindings the kernels read — and
+/// replayed to convergence.  The captured iteration runs cg_loop's
+/// operations as separate kernels (matvec, ps dot, x axpy, r axpy, rr dot,
+/// p xpay); each element sees the same arithmetic as in cg_loop's fused
+/// update, so iterates match bit for bit wherever the reduction tree
+/// matches.
 template <class Apply>
 cg_result cg_loop_graphed(index_t n, const Apply& apply, const darray& b,
                           darray& x, const cg_options& opts) {
@@ -216,33 +174,15 @@ cg_result cg_loop_graphed(index_t n, const Apply& apply, const darray& b,
   darray p(jacc::uninit, n);
   darray s(jacc::uninit, n);
 
-  apply(x, s);
-  jacc::parallel_for(
-      jacc::hints{.name = "cg.residual", .flops_per_index = 2.0,
-                  .bytes_per_index = 24.0},
-      n,
-      [](index_t i, const darray& b_, const darray& s_, darray& r_) {
-        r_[i] = static_cast<double>(b_[i]) - static_cast<double>(s_[i]);
-      },
-      b, s, r);
-  jacc::parallel_for(jacc::hints{.name = "cg.copy", .bytes_per_index = 16.0},
-                     n, copy_kernel, r, p);
-
-  const jacc::hints dot_h{.name = "cg.dot", .flops_per_index = 2.0,
-                          .bytes_per_index = 16.0};
-  // elementwise: the captured axpy/xpay launches are graph-fuser
-  // candidates — under JACC_FUSE=graph|all the adjacent x/r updates
-  // replay as one fused node.
-  const jacc::hints axpy_h{.name = "cg.axpy", .flops_per_index = 2.0,
-                           .bytes_per_index = 24.0, .elementwise = true};
-  const double bb = jacc::parallel_reduce(dot_h, n, blas::dot, b, b);
+  const double bb = cg_setup(n, apply, b, x, r, p, s);
   if (bb == 0.0) {
-    jacc::parallel_for(
-        jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
-        [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
     return {0, 0.0, true};
   }
-  double rr = jacc::parallel_reduce(dot_h, n, blas::dot, r, r);
+  double rr = jacc::dot("cg.dot", n, jacc::ex(r), jacc::ex(r));
+  const jacc::hints dot_h{.name = "cg.dot", .flops_per_index = 2.0,
+                          .bytes_per_index = 16.0};
+  const jacc::hints axpy_h{.name = "cg.axpy", .flops_per_index = 2.0,
+                           .bytes_per_index = 24.0};
   const double stop = opts.tolerance * opts.tolerance * bb;
 
   // Capture one iteration.  The kernels read alpha/beta through
@@ -279,8 +219,7 @@ cg_result cg_loop_graphed(index_t n, const Apply& apply, const darray& b,
   {
     const jacc::queue_scope in(q);
     jacc::parallel_for(jacc::hints{.name = "cg.xpay", .flops_per_index = 2.0,
-                                   .bytes_per_index = 24.0,
-                                   .elementwise = true},
+                                   .bytes_per_index = 24.0},
                        n, xpay_kernel, beta, r, p);
   }
   jacc::graph g = q.end_capture();
@@ -367,41 +306,6 @@ void paper_iteration(paper_state& st) {
   const jacc::hints axpy_h{.name = "cg.axpy", .flops_per_index = 2.0,
                            .bytes_per_index = 24.0};
 
-  if (jacc::fuse_expr()) {
-    // The same 12 operations regrouped into 5 launches.  Each group keeps
-    // the eager per-index statement order, every expression mirrors its
-    // eager kernel's arithmetic shape, and r . r never straddles a matvec
-    // it depends on — so the iterates are bit-identical to the unfused
-    // listing.  BLAS-chain hint bytes drop from 200 to 120 per index.
-    // r_old = copy(r), fused with the alpha numerator r . r (legal before
-    // the matvec: neither reads s).
-    const double alpha0 = jacc::eval_dot("cg.fused_copy_dot", n,
-                                         jacc::ex(st.r), jacc::ex(st.r),
-                                         jacc::assign(st.r_old, jacc::ex(st.r)));
-    // s = A p
-    st.A.apply(st.p, st.s);
-    const double alpha1 = jacc::dot("cg.dot", n, jacc::ex(st.p), jacc::ex(st.s));
-    const double alpha = alpha0 / alpha1;
-    // r -= alpha s ; x += alpha p ; beta numerator reads the fresh r.
-    const double beta0 = jacc::eval_dot(
-        "cg.fused_update_dot", n, jacc::ex(st.r), jacc::ex(st.r),
-        jacc::assign(st.r, jacc::ex(st.r) + (-alpha) * jacc::ex(st.s)),
-        jacc::assign(st.x, jacc::ex(st.x) + alpha * jacc::ex(st.p)));
-    // beta denominator: r_old holds bitwise the r the alpha numerator
-    // reduced, and the flat reduction order is identical, so the group-1
-    // result IS dot(r_old, r_old) — no extra sweep.
-    const double beta1 = alpha0;
-    const double beta = beta0 / beta1;
-    // r_aux = r + beta p ; p = r_aux ; cond = r . r — the first statement
-    // reads the old p at each index before the second overwrites it.
-    const double cond = jacc::eval_dot(
-        "cg.fused_pupdate_dot", n, jacc::ex(st.r), jacc::ex(st.r),
-        jacc::assign(st.r_aux, jacc::ex(st.r) + beta * jacc::ex(st.p)),
-        jacc::assign(st.p, jacc::ex(st.r_aux)));
-    static_cast<void>(cond);
-    return;
-  }
-
   // r_old = copy(r)
   jacc::parallel_for(jacc::hints{.name = "cg.copy", .bytes_per_index = 16.0},
                      n, copy_kernel, st.r, st.r_old);
@@ -427,6 +331,43 @@ void paper_iteration(paper_state& st) {
   jacc::parallel_for(jacc::hints{.name = "cg.copy", .bytes_per_index = 16.0},
                      n, copy_kernel, st.r_aux, st.p);
   const double cond = jacc::parallel_reduce(dot_h, n, blas::dot, st.r, st.r);
+  static_cast<void>(cond);
+}
+
+void paper_iteration_fused(paper_state& st) {
+  const jaccx::prof::scoped_region prof_region("cg.iteration");
+  const index_t n = st.A.n;
+  // paper_iteration's 12 operations regrouped into 5 launches.  Each group
+  // keeps the listing's per-index statement order, every expression
+  // mirrors its kernel's arithmetic shape, and r . r never straddles a
+  // matvec it depends on — so the iterates are bit-identical to
+  // paper_iteration's.  BLAS-chain hint bytes drop from 200 to 120 per
+  // index.
+  // r_old = copy(r), fused with the alpha numerator r . r (legal before
+  // the matvec: neither reads s).
+  const double alpha0 = jacc::eval_dot("cg.fused_copy_dot", n,
+                                       jacc::ex(st.r), jacc::ex(st.r),
+                                       jacc::assign(st.r_old, jacc::ex(st.r)));
+  // s = A p
+  st.A.apply(st.p, st.s);
+  const double alpha1 = jacc::dot("cg.dot", n, jacc::ex(st.p), jacc::ex(st.s));
+  const double alpha = alpha0 / alpha1;
+  // r -= alpha s ; x += alpha p ; beta numerator reads the fresh r.
+  const double beta0 = jacc::eval_dot(
+      "cg.fused_update_dot", n, jacc::ex(st.r), jacc::ex(st.r),
+      jacc::assign(st.r, jacc::ex(st.r) + (-alpha) * jacc::ex(st.s)),
+      jacc::assign(st.x, jacc::ex(st.x) + alpha * jacc::ex(st.p)));
+  // beta denominator: r_old holds bitwise the r the alpha numerator
+  // reduced, and the flat reduction order is identical, so the group-1
+  // result IS dot(r_old, r_old) — no extra sweep.
+  const double beta1 = alpha0;
+  const double beta = beta0 / beta1;
+  // r_aux = r + beta p ; p = r_aux ; cond = r . r — the first statement
+  // reads the old p at each index before the second overwrites it.
+  const double cond = jacc::eval_dot(
+      "cg.fused_pupdate_dot", n, jacc::ex(st.r), jacc::ex(st.r),
+      jacc::assign(st.r_aux, jacc::ex(st.r) + beta * jacc::ex(st.p)),
+      jacc::assign(st.p, jacc::ex(st.r_aux)));
   static_cast<void>(cond);
 }
 

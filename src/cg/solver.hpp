@@ -1,17 +1,21 @@
 // Plain unpreconditioned conjugate gradient over the JACC front end
 // (paper Sec. V-C, Fig. 12) — the HPCCG / MiniFE solve.
 //
-// Two entry points:
+// Entry points:
 //   * cg_solve       — the mathematically correct solver (converges; used by
 //                      tests and examples), built entirely from JACC
-//                      constructs: a matvec parallel_for, dot
-//                      parallel_reduces, and axpy/xpay parallel_fors.
+//                      constructs: a matvec parallel_for, and the dots and
+//                      vector updates through the jacc::expr layer, which
+//                      fuses x/r updates with the r . r dot (docs/FUSION.md).
 //   * paper_iteration — performs exactly the per-iteration operation
 //                      sequence of the paper's Fig. 12 listing (1 matvec,
 //                      4 dots, 3 axpy-type updates, 2 copies), which is what
 //                      Fig. 13 times.  Kept separate because the listing's
 //                      algebra has typos (see tridiag.hpp) but its *cost
 //                      structure* is what must be reproduced.
+//   * paper_iteration_fused — the same operations regrouped by the
+//                      expression layer into 5 launches (docs/FUSION.md);
+//                      bit-identical iterates, less simulated DRAM traffic.
 #pragma once
 
 #include "blas/kernels.hpp"
@@ -77,5 +81,9 @@ struct paper_state {
 
 /// One iteration with the Fig. 12 operation sequence (see header comment).
 void paper_iteration(paper_state& st);
+
+/// paper_iteration's operations fused into 5 launches: the fusion ablation
+/// (bench/abl_cg_fusion) compares the two.
+void paper_iteration_fused(paper_state& st);
 
 } // namespace jaccx::cg

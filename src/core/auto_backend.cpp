@@ -106,14 +106,16 @@ backend use_auto_backend(const workload& w) {
 
 namespace {
 
+// Immortal: prof's atexit finalize publishes roofline feedback into the
+// registry, and that can run after function-local statics are destroyed.
 std::mutex& rates_mutex() {
-  static std::mutex m;
-  return m;
+  static auto* m = new std::mutex;
+  return *m;
 }
 
 std::map<std::string, achieved_rate, std::less<>>& rates_map() {
-  static std::map<std::string, achieved_rate, std::less<>> r;
-  return r;
+  static auto* r = new std::map<std::string, achieved_rate, std::less<>>;
+  return *r;
 }
 
 /// EWMA weight for new observations: heavy enough that a device slowing

@@ -9,7 +9,6 @@
 #include <string>
 
 #include "core/auto_backend.hpp"
-#include "core/fuse.hpp"
 #include "core/queue.hpp"
 #include "mem/pool.hpp"
 #include "prof/prof.hpp"
@@ -65,31 +64,6 @@ jaccx::mem::pool_mode resolve_mem_pool() {
     }
   }
   return jaccx::mem::pool_mode::bucket;
-}
-
-jacc::fuse_mode resolve_fuse() {
-  if (const auto env = jaccx::get_env("JACC_FUSE")) {
-    if (const auto m = jacc::parse_fuse(*env)) {
-      return *m;
-    }
-    jaccx::throw_config_error("unknown JACC_FUSE '" + *env +
-                              "' (known: none, expr, graph, all)");
-  }
-  std::string path = "LocalPreferences.toml";
-  if (const auto p = jaccx::get_env("JACC_PREFERENCES_FILE")) {
-    path = *p;
-  }
-  if (std::filesystem::exists(path)) {
-    const auto prefs = jaccx::toml::parse_file(path);
-    if (const auto name = jaccx::toml::find_string(prefs, "JACC.fuse")) {
-      if (const auto m = jacc::parse_fuse(*name)) {
-        return *m;
-      }
-      jaccx::throw_config_error("unknown JACC.fuse '" + *name +
-                                "' (known: none, expr, graph, all)");
-    }
-  }
-  return jacc::fuse_mode::none;
 }
 
 // Cache cap in bytes: JACC_MEM_CAP_MB env > TOML `JACC.mem_cap_mb` > 0
@@ -167,7 +141,6 @@ void initialize() {
                   std::memory_order_release);
   jaccx::mem::set_mode(resolve_mem_pool());
   jaccx::mem::set_cache_cap(resolve_mem_cap());
-  jacc::set_fuse(resolve_fuse());
   // External profiling tools (JACC_TOOLS_LIBS) attach here, before any
   // kernel can launch; the loader is idempotent across re-initialization.
   jaccx::prof::load_tools_from_env();
@@ -191,7 +164,6 @@ backend current_backend() {
                       std::memory_order_release);
       jaccx::mem::set_default_mode(resolve_mem_pool());
       jaccx::mem::set_default_cache_cap(resolve_mem_cap());
-      jacc::set_default_fuse(resolve_fuse());
       jaccx::prof::load_tools_from_env();
       install_rate_feedback();
     });

@@ -19,15 +19,17 @@
 //                       jacc::assign(x, jacc::ex(x) + alpha * jacc::ex(p)),
 //                       jacc::assign(r, jacc::ex(r) - alpha * jacc::ex(s)));
 //
+// cg_solve's setup, dots and x/r/p updates run through this layer
+// (docs/FUSION.md).
+//
 // Accounting: the fused launch carries summed flops_per_index and
 // *deduplicated* bytes_per_index hints (an array read by two operands is
-// charged once per direction — MODEL.md, "Fused charges"), and is marked
-// hints::elementwise so a captured eval() is also a graph-fuser candidate.
-// Evaluation reads/writes through array_base::flat(), i.e. the same
-// tracked element references the per-element kernels use, so simulated
-// cache-model charges are exact, and per-index statement order matches the
-// eager sweep order — fused evaluation is bit-exact against the unfused
-// kernel sequence for elementwise chains on every backend.
+// charged once per direction — MODEL.md, "Fused charges").  Evaluation
+// reads/writes through array_base::flat(), i.e. the same tracked element
+// references the per-element kernels use, so simulated cache-model charges
+// are exact, and per-index statement order matches the eager sweep order —
+// fused evaluation is bit-exact against the unfused kernel sequence for
+// elementwise chains on every backend.
 #pragma once
 
 #include <string_view>
@@ -166,9 +168,7 @@ auto operator-(E e) {
   return neg_expr<E>(std::move(e));
 }
 
-/// One deferred store: dst[i] = (T)e(i).  The statement shape eval() runs;
-/// exposes the capture-layer footprint hook so an eval() recorded into a
-/// graph stays fusable with its neighbors.
+/// One deferred store: dst[i] = (T)e(i).  The statement shape eval() runs.
 template <class T, class E>
 struct assign_stmt {
   const detail::array_base<T>* dst;
@@ -176,7 +176,7 @@ struct assign_stmt {
 
   void run(index_t i) const { dst->flat(i) = static_cast<T>(e(i)); }
   double flops() const { return e.flops(); }
-  void jacc_fuse_footprints(std::vector<fuse_footprint>& out) const {
+  void footprints(std::vector<fuse_footprint>& out) const {
     out.push_back({dst->host_data(), static_cast<double>(sizeof(T)), false,
                    true});
     e.footprints(out);
@@ -220,11 +220,10 @@ auto assign(array3d<T>& dst, E e) {
 template <class... St>
 void eval(std::string_view name, index_t n, const St&... stmts) {
   std::vector<detail::fuse_footprint> fps;
-  (stmts.jacc_fuse_footprints(fps), ...);
+  (stmts.footprints(fps), ...);
   const hints h{.name = name,
                 .flops_per_index = (0.0 + ... + stmts.flops()),
-                .bytes_per_index = detail::fused_hint_bytes(fps),
-                .elementwise = true};
+                .bytes_per_index = detail::fused_hint_bytes(fps)};
   // Parameters are exactly St... (not auto...): overload resolution over
   // the dims2/dims3 parallel_for signatures probes invocability, and a
   // generic lambda would have to instantiate its body (deduced return
@@ -260,14 +259,13 @@ template <expression E1, expression E2, class... St>
 auto eval_dot(std::string_view name, index_t n, const E1& a, const E2& b,
               const St&... stmts) {
   std::vector<detail::fuse_footprint> fps;
-  (stmts.jacc_fuse_footprints(fps), ...);
+  (stmts.footprints(fps), ...);
   a.footprints(fps);
   b.footprints(fps);
   const hints h{.name = name,
                 .flops_per_index =
                     (0.0 + ... + stmts.flops()) + a.flops() + b.flops() + 2.0,
-                .bytes_per_index = detail::fused_hint_bytes(fps),
-                .elementwise = true};
+                .bytes_per_index = detail::fused_hint_bytes(fps)};
   return parallel_reduce(
       h, n,
       [](index_t i, const E1& x, const E2& y, const St&... ss) {

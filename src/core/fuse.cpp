@@ -1,80 +1,6 @@
 #include "core/fuse.hpp"
 
-#include <atomic>
-
-#include "support/env.hpp"
-
 namespace jacc {
-namespace {
-
-// -1: unresolved (first fuse() query reads JACC_FUSE); >= 0: a fuse_mode.
-std::atomic<int> g_fuse{-1};
-// Set once an explicit set_fuse() happens, so set_default_fuse (the lazy
-// current_backend path) cannot clobber a programmatic pin.
-std::atomic<bool> g_fuse_pinned{false};
-
-int resolve_from_env() {
-  if (const auto env = jaccx::get_env("JACC_FUSE")) {
-    if (const auto m = parse_fuse(*env)) {
-      return static_cast<int>(*m);
-    }
-    // The lazy path must not throw from arbitrary call sites; initialize()
-    // re-resolves with a throwing parse (backend.cpp) so misconfiguration
-    // is still surfaced on the explicit path.
-  }
-  return static_cast<int>(fuse_mode::none);
-}
-
-} // namespace
-
-std::optional<fuse_mode> parse_fuse(std::string_view name) {
-  if (name == "none" || name == "off" || name == "0") {
-    return fuse_mode::none;
-  }
-  if (name == "expr") {
-    return fuse_mode::expr;
-  }
-  if (name == "graph") {
-    return fuse_mode::graph;
-  }
-  if (name == "all" || name == "on" || name == "1") {
-    return fuse_mode::all;
-  }
-  return std::nullopt;
-}
-
-std::string_view to_string(fuse_mode m) {
-  switch (m) {
-  case fuse_mode::none: return "none";
-  case fuse_mode::expr: return "expr";
-  case fuse_mode::graph: return "graph";
-  case fuse_mode::all: return "all";
-  }
-  return "none";
-}
-
-fuse_mode fuse() {
-  int m = g_fuse.load(std::memory_order_acquire);
-  if (m < 0) {
-    int expected = -1;
-    g_fuse.compare_exchange_strong(expected, resolve_from_env(),
-                                   std::memory_order_acq_rel);
-    m = g_fuse.load(std::memory_order_acquire);
-  }
-  return static_cast<fuse_mode>(m);
-}
-
-void set_fuse(fuse_mode m) {
-  g_fuse_pinned.store(true, std::memory_order_release);
-  g_fuse.store(static_cast<int>(m), std::memory_order_release);
-}
-
-void set_default_fuse(fuse_mode m) {
-  if (!g_fuse_pinned.load(std::memory_order_acquire)) {
-    g_fuse.store(static_cast<int>(m), std::memory_order_release);
-  }
-}
-
 namespace detail {
 
 double fused_hint_bytes(const std::vector<fuse_footprint>& fps) {

@@ -1,75 +1,26 @@
-// Kernel-fusion policy and the shared fused-kernel payload shape.
+// Kernel-fusion accounting shared by the expression layer (core/expr.hpp).
 //
-// JACC fuses at two levels (docs/FUSION.md):
-//   * expr  — the lazy expression layer (core/expr.hpp) collapses an
-//             elementwise statement chain into ONE parallel_for at the
-//             call site (jacc_blas.cpp, cg solver hot chains).
-//   * graph — a post-capture peephole pass (core/graph.cpp) merges
-//             adjacent fusable kernel nodes of a captured DAG into one
-//             pre-baked node, so replays launch the fused chain.
-//
-// Selection is `JACC_FUSE=none|expr|graph|all` (env > TOML `JACC.fuse`,
-// resolved at initialize(); lazily from the env on first query otherwise).
-// The default is `none`: fusion is opt-in and `none` reproduces the seed's
-// launch sequence and sim charges bit-for-bit.
+// Fusion happens in one place: jacc::expr collapses an elementwise
+// statement chain, optionally ending in a dot, into ONE launch at the call
+// site; cg_solve always takes that path (docs/FUSION.md).  This header
+// holds the fused launch's hint model.
 #pragma once
 
-#include <cstdint>
-#include <functional>
-#include <optional>
 #include <string_view>
 #include <vector>
 
-#include "core/launch_desc.hpp"
-
 namespace jacc {
 
-/// Bitmask: expr = bit 0, graph = bit 1.
-enum class fuse_mode : int { none = 0, expr = 1, graph = 2, all = 3 };
+/// The fusion the library applies: expression-layer fusion, always on.
+/// A read-only report for run banners, not a setting.
+enum class fuse_mode { expr };
 
-/// "none" / "expr" / "graph" / "all" (also "off"/"0" for none, "1"/"on"
-/// for all).  nullopt on anything else.
-std::optional<fuse_mode> parse_fuse(std::string_view name);
-std::string_view to_string(fuse_mode m);
-
-/// Current fusion policy.  Resolved lazily from JACC_FUSE on first query
-/// when neither initialize() nor set_fuse() ran first.
-fuse_mode fuse();
-
-/// Pins the policy programmatically (initialize() calls this with the
-/// env/TOML resolution; tests use scoped_fuse).
-void set_fuse(fuse_mode m);
-
-/// Like set_fuse, but only takes effect if no explicit set_fuse happened
-/// yet — the lazy current_backend() path uses this so it cannot clobber a
-/// programmatic pin.
-void set_default_fuse(fuse_mode m);
-
-/// Whether the expression layer may fuse statement chains.
-inline bool fuse_expr() {
-  return (static_cast<int>(fuse()) & static_cast<int>(fuse_mode::expr)) != 0;
-}
-
-/// Whether the graph peephole fuser runs at capture-finish.
-inline bool fuse_graph() {
-  return (static_cast<int>(fuse()) & static_cast<int>(fuse_mode::graph)) != 0;
-}
-
-/// RAII pin for tests and ablation benches.
-class scoped_fuse {
-public:
-  explicit scoped_fuse(fuse_mode m) : saved_(fuse()) { set_fuse(m); }
-  ~scoped_fuse() { set_fuse(saved_); }
-  scoped_fuse(const scoped_fuse&) = delete;
-  scoped_fuse& operator=(const scoped_fuse&) = delete;
-
-private:
-  fuse_mode saved_;
-};
+constexpr fuse_mode fuse() { return fuse_mode::expr; }
+constexpr std::string_view to_string(fuse_mode) { return "expr"; }
 
 namespace detail {
 
-/// One array touched by a fusable kernel: its footprint pointer (the host
+/// One array touched by a fused kernel: its footprint pointer (the host
 /// mirror address identifies the array uniquely regardless of backend),
 /// the element width, and the access mode.  The fused hint model charges
 /// each distinct array once per direction, so a vector read by two fused
@@ -79,18 +30,6 @@ struct fuse_footprint {
   double elem_bytes = 0.0;
   bool read = false;
   bool write = false;
-};
-
-/// Side payload a 1D elementwise capture attaches to its graph node: the
-/// index count, the accounting hints, the arrays it touches, and a
-/// per-index body that runs the kernel for exactly one index.  The graph
-/// fuser concatenates per_index bodies of adjacent fusable nodes into one
-/// launch.
-struct fusable_kernel {
-  index_t n = 0;
-  double flops_per_index = 0.0;
-  std::vector<fuse_footprint> footprints;
-  std::function<void(index_t)> per_index;
 };
 
 /// Deduplicated bytes-per-index over a fused footprint set: each distinct

@@ -29,8 +29,6 @@
 #include <vector>
 
 #include "core/backend.hpp"
-#include "core/fuse.hpp"
-#include "core/parallel_for.hpp"
 #include "core/queue_impl.hpp"
 #include "prof/prof.hpp"
 #include "sim/device.hpp"
@@ -53,10 +51,6 @@ struct graph_node {
   bool needs_event = false; ///< some wait node depends on this one
   std::string name;
   replay_body body;
-  /// Fused-execution payload for 1D elementwise kernel captures
-  /// (core/fuse.hpp); null for everything else.  Consumed by the
-  /// post-capture chain fuser, inert on the replay paths.
-  std::shared_ptr<fusable_kernel> fusable;
 };
 
 /// Mutable state while a capture is recording.  `mu` guards the node list
@@ -150,120 +144,6 @@ void capture_detach(capture_builder& b) {
   }
 }
 
-/// Shared state of one fused chain node: the joined name (the replay hint
-/// string_view points into it), the fused accounting, and the member
-/// kernels' per-index bodies in original submission order.
-struct fused_chain {
-  std::string name;
-  index_t n = 0;
-  double flops = 0.0;
-  double bytes = 0.0;
-  std::vector<std::function<void(index_t)>> parts;
-};
-
-/// The JACC_FUSE=graph|all peephole pass (docs/FUSION.md).  Merges maximal
-/// runs of *consecutive* nodes that are 1D elementwise kernels with a
-/// fusable payload, on the same slot, over the same index space, into one
-/// pre-baked node that runs all member bodies per index in submission
-/// order.  Consecutive-in-the-global-list is the legality test: ANY
-/// intervening node — a copy, a host node, another queue's kernel, a wait
-/// edge — breaks the chain, which is exactly what makes cross-queue edges
-/// and non-elementwise hazards block fusion.  RAW between members (a later
-/// member reading an array an earlier member wrote) is allowed — per-index
-/// the statements run in order, so the dataflow matches the unfused sweeps
-/// for elementwise kernels.  A node some wait edge depends on always ends
-/// its chain, so the merged node's completion coincides with the recorded
-/// edge's producer and the dep can be remapped soundly.
-void fuse_chains(graph_impl& g) {
-  std::vector<graph_node> old = std::move(g.nodes);
-  g.nodes.clear();
-  g.nodes.reserve(old.size());
-  std::vector<char> has_waiter(old.size(), 0);
-  for (const graph_node& nd : old) {
-    if (nd.kind == capture_kind::wait && nd.dep >= 0) {
-      has_waiter[static_cast<std::size_t>(nd.dep)] = 1;
-    }
-  }
-  std::vector<std::int64_t> remap(old.size(), -1);
-  std::vector<std::size_t> chain;
-
-  const auto flush = [&] {
-    if (chain.empty()) {
-      return;
-    }
-    const auto out = static_cast<std::int64_t>(g.nodes.size());
-    for (const std::size_t m : chain) {
-      remap[m] = out;
-    }
-    if (chain.size() == 1) {
-      g.nodes.push_back(std::move(old[chain[0]]));
-      chain.clear();
-      return;
-    }
-    auto fc = std::make_shared<fused_chain>();
-    fc->n = old[chain[0]].fusable->n;
-    std::vector<fuse_footprint> fps;
-    for (const std::size_t m : chain) {
-      if (!fc->name.empty()) {
-        fc->name += '+';
-      }
-      fc->name += old[m].name;
-      fc->flops += old[m].fusable->flops_per_index;
-      fps.insert(fps.end(), old[m].fusable->footprints.begin(),
-                 old[m].fusable->footprints.end());
-      fc->parts.push_back(old[m].fusable->per_index);
-    }
-    fc->bytes = fused_hint_bytes(fps);
-    graph_node fused;
-    fused.kind = capture_kind::kernel;
-    fused.slot = old[chain[0]].slot;
-    fused.name = fc->name;
-    fused.body = make_replay_body(
-        [fc, b = g.captured_backend](jaccx::pool::thread_pool* pl) {
-          hints h;
-          h.name = fc->name;
-          h.flops_per_index = fc->flops;
-          h.bytes_per_index = fc->bytes;
-          h.elementwise = true;
-          execute_for<1>(b, pl, launch_desc::d1(h, fc->n),
-                         [&](index_t i, index_t, index_t) {
-                           for (const auto& p : fc->parts) {
-                             p(i);
-                           }
-                         });
-        });
-    g.nodes.push_back(std::move(fused));
-    chain.clear();
-  };
-
-  for (std::size_t i = 0; i < old.size(); ++i) {
-    graph_node& nd = old[i];
-    const bool fusable_node = nd.kind == capture_kind::kernel &&
-                              nd.fusable != nullptr &&
-                              nd.fusable->per_index != nullptr;
-    const bool extends = fusable_node && !chain.empty() &&
-                         old[chain.back()].slot == nd.slot &&
-                         old[chain.back()].fusable->n == nd.fusable->n;
-    if (!extends) {
-      flush();
-    }
-    if (fusable_node) {
-      chain.push_back(i);
-      if (has_waiter[i]) {
-        flush();
-      }
-      continue;
-    }
-    if (nd.kind == capture_kind::wait) {
-      nd.dep = remap[static_cast<std::size_t>(nd.dep)];
-      JACCX_ASSERT(nd.dep >= 0 && "wait edge on a not-yet-emitted node");
-    }
-    remap[i] = static_cast<std::int64_t>(g.nodes.size());
-    g.nodes.push_back(std::move(nd));
-  }
-  flush();
-}
-
 } // namespace
 
 graph capture_finish(std::shared_ptr<capture_builder> b) {
@@ -286,9 +166,6 @@ graph capture_finish(std::shared_ptr<capture_builder> b) {
   if (mem_balance != 0) {
     jaccx::throw_usage_error(
         "graph capture has unbalanced scratch acquire/release nodes");
-  }
-  if (jacc::fuse_graph()) {
-    fuse_chains(*g);
   }
   const std::size_t nslots = g->slots.size();
   g->per_slot.resize(nslots);
@@ -341,32 +218,6 @@ event capture_append(queue& q, capture_kind kind, std::string name,
     nd.slot = b->slot_of(qi);
     nd.name = std::move(name);
     nd.body = std::move(body);
-    b->nodes.push_back(std::move(nd));
-  }
-  auto st = std::make_shared<event_state>();
-  st->queue_id = qi->id;
-  st->capture_id = b->id;
-  st->capture_node = idx;
-  st->complete.store(true, std::memory_order_release);
-  return event_access::make(std::move(st));
-}
-
-event capture_append(queue& q, capture_kind kind, std::string name,
-                     replay_body body,
-                     std::shared_ptr<fusable_kernel> fusable) {
-  queue_impl* qi = queue_access::impl(q);
-  capture_builder* b = qi->cap.load(std::memory_order_acquire);
-  JACCX_ASSERT(b != nullptr && "capture_append on a non-capturing queue");
-  std::int64_t idx;
-  {
-    const std::lock_guard lock(b->mu);
-    idx = static_cast<std::int64_t>(b->nodes.size());
-    graph_node nd;
-    nd.kind = kind;
-    nd.slot = b->slot_of(qi);
-    nd.name = std::move(name);
-    nd.body = std::move(body);
-    nd.fusable = std::move(fusable);
     b->nodes.push_back(std::move(nd));
   }
   auto st = std::make_shared<event_state>();

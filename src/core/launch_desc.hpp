@@ -25,10 +25,9 @@ struct hints {
   std::string_view name = "jacc.parallel_for";
   double flops_per_index = 0.0;
   double bytes_per_index = 0.0;
-  /// Promise that the kernel touches its array arguments only at the
-  /// launch index, and only through those arguments (no captured aliases,
-  /// no neighbor access).  Opt-in: it marks a 1D launch as a candidate for
-  /// the graph-level chain fuser (core/fuse.hpp); never changes results.
+  /// Inert: no layer reads it.  It marked launches for a graph-level chain
+  /// fuser that no longer exists and is kept only so existing designated
+  /// initializers still compile.
   bool elementwise = false;
   /// Stencil reach along the slowest (partitioned) dimension: the kernel at
   /// index i may read array elements up to `stencil_radius` slow-dimension

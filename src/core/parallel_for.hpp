@@ -38,17 +38,14 @@
 //                       coalescing
 #pragma once
 
-#include <memory>
 #include <string>
 #include <string_view>
 #include <tuple>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 #include "core/array.hpp"
 #include "core/backend.hpp"
-#include "core/fuse.hpp"
 #include "core/launch_desc.hpp"
 #include "core/queue.hpp"
 #include "core/shard.hpp"
@@ -69,76 +66,6 @@ using async_arg_t = std::conditional_t<
     std::is_lvalue_reference_v<A> &&
         !std::is_copy_constructible_v<std::remove_cvref_t<A>>,
     std::remove_reference_t<A>&, std::remove_cvref_t<A>>;
-
-// --- fusable-argument classification (graph chain fuser, core/fuse.hpp) -----
-// Keyed on the *stored* tuple element type from async_arg_t: values
-// (scalars, scalar_bindings, views) are fusable — the elementwise hint is
-// the caller's promise that they alias no array storage — and may expose
-// footprints via a `jacc_fuse_footprints(out)` member; reference-stored
-// move-only types are opaque and block fusion unless specialized below.
-
-template <class U>
-struct fuse_arg_traits {
-  static constexpr bool fusable = true;
-  static void add_footprints(const U& v,
-                             std::vector<fuse_footprint>& out) {
-    if constexpr (requires { v.jacc_fuse_footprints(out); }) {
-      v.jacc_fuse_footprints(out);
-    }
-  }
-};
-
-template <class U>
-struct fuse_arg_traits<U&> {
-  static constexpr bool fusable = false;
-  static void add_footprints(const U&, std::vector<fuse_footprint>&) {}
-};
-
-/// A mutable 1D array: conservatively read+write (the fused hint model
-/// never undercharges a kernel that only reads it).
-template <class T>
-struct fuse_arg_traits<array<T>&> {
-  static constexpr bool fusable = std::is_arithmetic_v<T>;
-  static void add_footprints(const array<T>& a,
-                             std::vector<fuse_footprint>& out) {
-    out.push_back({a.host_data(), static_cast<double>(sizeof(T)), true, true});
-  }
-};
-
-template <class T>
-struct fuse_arg_traits<const array<T>&> {
-  static constexpr bool fusable = std::is_arithmetic_v<T>;
-  static void add_footprints(const array<T>& a,
-                             std::vector<fuse_footprint>& out) {
-    out.push_back({a.host_data(), static_cast<double>(sizeof(T)), true, false});
-  }
-};
-
-/// Builds the chain-fuser payload for a captured 1D elementwise kernel:
-/// nullptr when any stored argument is opaque.  The payload shares the
-/// captured argument tuple with the replay body, so instance updates via
-/// jacc::binding rebind both paths at once.
-template <class F, class... As>
-std::shared_ptr<fusable_kernel>
-make_fusable_payload(const launch_desc& d, const F& fn,
-                     const std::shared_ptr<std::tuple<As...>>& tup) {
-  if constexpr ((fuse_arg_traits<As>::fusable && ...)) {
-    auto k = std::make_shared<fusable_kernel>();
-    k->n = d.rows;
-    k->flops_per_index = d.h.flops_per_index;
-    std::apply(
-        [&](const auto&... as) {
-          (fuse_arg_traits<As>::add_footprints(as, k->footprints), ...);
-        },
-        *tup);
-    k->per_index = [fn, tup](index_t i) {
-      std::apply([&](auto&... as) { fn(i, as...); }, *tup);
-    };
-    return k;
-  } else {
-    return nullptr;
-  }
-}
 
 /// The kernel as a rank-normalized callable: k(i, j, k) calls f with the
 /// first Rank indices, then the trailing arguments.  Every execution body
@@ -337,16 +264,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                   Args&&... args) {
   std::string name(d.h.name);
   auto fn = std::decay_t<F>(std::forward<F>(f));
-  auto tup = std::make_shared<std::tuple<async_arg_t<Args&&>...>>(
-      std::forward<Args>(args)...);
-  // The fused-execution payload shares `tup` with the replay body below;
-  // built before `fn` is moved out (per_index takes its own copy).
-  std::shared_ptr<fusable_kernel> fusable;
-  if constexpr (Rank == 1) {
-    if (d.h.elementwise) {
-      fusable = make_fusable_payload(d, fn, tup);
-    }
-  }
+  std::tuple<async_arg_t<Args&&>...> tup(std::forward<Args>(args)...);
   replay_body body;
   if constexpr (Rank == 1) {
     // Kept: replay through execute_for misses abl_dispatch_overhead's 5x bar.
@@ -354,7 +272,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
       body = make_replay_body(
           [n = d.rows, hf = d.h.flops_per_index, hb = d.h.bytes_per_index,
            name, fn = std::move(fn),
-           tup](jaccx::pool::thread_pool*) mutable {
+           tup = std::move(tup)](jaccx::pool::thread_pool*) mutable {
             const auto run = [&] {
               std::apply(
                   [&](auto&... as) {
@@ -362,7 +280,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                       fn(i, as...);
                     }
                   },
-                  *tup);
+                  tup);
             };
             if (jaccx::prof::enabled()) [[unlikely]] {
               const jaccx::prof::kernel_scope ks(
@@ -378,7 +296,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
       body = make_replay_body(
           [n = d.rows, hf = d.h.flops_per_index, hb = d.h.bytes_per_index,
            name, fn = std::move(fn),
-           tup](jaccx::pool::thread_pool* pl) mutable {
+           tup = std::move(tup)](jaccx::pool::thread_pool* pl) mutable {
             auto& pool = pl != nullptr ? *pl : jaccx::pool::default_pool();
             const auto run = [&] {
               std::apply(
@@ -386,7 +304,7 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
                     pool.parallel_for_index(n,
                                             [&](index_t i) { fn(i, as...); });
                   },
-                  *tup);
+                  tup);
             };
             if (jaccx::prof::enabled()) [[unlikely]] {
               const jaccx::prof::kernel_scope ks(
@@ -403,19 +321,15 @@ event capture_for(queue& q, backend b, const launch_desc& d, F&& f,
   if (!body) {
     body = make_replay_body(
         [d, b, name, fn = std::move(fn),
-         tup](jaccx::pool::thread_pool* pl) mutable {
+         tup = std::move(tup)](jaccx::pool::thread_pool* pl) mutable {
           launch_desc desc = d;
           desc.h.name = name;
           std::apply(
               [&](auto&... as) {
                 execute_for<Rank>(b, pl, desc, bind_kernel<Rank>(fn, as...));
               },
-              *tup);
+              tup);
         });
-  }
-  if (fusable != nullptr) {
-    return capture_append(q, capture_kind::kernel, std::move(name),
-                          std::move(body), std::move(fusable));
   }
   return capture_append(q, capture_kind::kernel, std::move(name),
                         std::move(body));

@@ -164,20 +164,11 @@ replay_body make_replay_body(F&& f) {
 /// enqueue paths gate on this exactly like prof::enabled().
 bool queue_capturing(const queue& q);
 
-struct fusable_kernel; // core/fuse.hpp
-
 /// Records one node on capturing queue `q` and returns its placeholder
 /// event (born complete, carrying the capture marker).  Defined in
 /// graph.cpp.
 event capture_append(queue& q, capture_kind kind, std::string name,
                      replay_body body);
-
-/// As above, additionally attaching the fused-execution payload a 1D
-/// elementwise kernel capture builds (core/fuse.hpp), so the post-capture
-/// peephole fuser can merge this node with its neighbors.
-event capture_append(queue& q, capture_kind kind, std::string name,
-                     replay_body body,
-                     std::shared_ptr<fusable_kernel> fusable);
 
 /// queue::wait(e) while capturing: a marker event from the same capture
 /// becomes a recorded edge (no-op within one queue, a wait node across

@@ -21,11 +21,9 @@
 #pragma once
 
 #include <memory>
-#include <vector>
 
 #include "core/array.hpp"
 #include "core/backend.hpp"
-#include "core/fuse.hpp"
 #include "core/queue.hpp"
 #include "mem/pool.hpp"
 #include "support/error.hpp"
@@ -60,12 +58,6 @@ public:
                                   cell_->dev);
   }
   index_t size() const { return cell_->count; }
-
-  /// Chain-fuser footprint hook (parallel_for.hpp): the cell address is
-  /// the identity — the storage pointer is not known until replay.
-  void jacc_fuse_footprints(std::vector<detail::fuse_footprint>& out) const {
-    out.push_back({cell_.get(), static_cast<double>(sizeof(T)), true, true});
-  }
 
 private:
   std::shared_ptr<detail::scratch_cell<T>> cell_;

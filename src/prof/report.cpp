@@ -329,14 +329,16 @@ std::vector<roofline_stats> aggregate_roofline() {
 
 namespace {
 
+// Immortal, like the registry the sink feeds: finalize() reads the slot
+// from the atexit path, after function-local statics are destroyed.
 std::mutex& rate_sink_mutex() {
-  static std::mutex m;
-  return m;
+  static auto* m = new std::mutex;
+  return *m;
 }
 
 rate_sink& rate_sink_slot() {
-  static rate_sink sink;
-  return sink;
+  static auto* sink = new rate_sink;
+  return *sink;
 }
 
 } // namespace

@@ -1,13 +1,13 @@
-// Tests for the two fusion levels (docs/FUSION.md) and the satellites
-// that landed with them: jacc::expr evaluation must be bit-exact against
-// the eager kernel sequence on serial and simulated backends (NEAR across
-// threads lane counts), the graph chain fuser must merge exactly the
-// legal runs and nothing else, JACC_FUSE=none must reproduce the seed's
-// simulated charges bit for bit, captured jacc::scratch must replay
-// allocation-free, and the pool's LRU cap must evict oldest-first without
-// perturbing uncapped behavior.  Suite name "Fusion" keeps these runnable
-// as a unit (scripts/verify.sh runs Fusion.* under TSan: fused threads
-// launches are the new race surface).
+// Tests for expression-layer fusion (docs/FUSION.md) and the satellites
+// that landed with it: jacc::expr evaluation must be bit-exact against the
+// eager kernel sequence on serial and simulated backends (NEAR across
+// threads lane counts), paper_iteration must keep the seed's simulated
+// charges bit for bit, paper_iteration_fused must match it while charging
+// less DRAM, captured jacc::scratch must replay allocation-free, and the
+// pool's LRU cap must evict oldest-first without perturbing uncapped
+// behavior.  Suite name "Fusion" keeps these runnable as a unit
+// (scripts/verify.sh runs Fusion.* under TSan: fused threads launches are
+// a race surface).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -41,6 +41,54 @@ std::vector<double> iota_vec(index_t n, double start) {
   return v;
 }
 
+/// CG as separate eager launches (residual, copy, then per iteration a dot,
+/// two axpys, a dot and an xpay): the reference the fused cg_solve is
+/// pinned against.
+jaccx::cg::cg_result eager_cg(const jaccx::cg::tridiag_system& A,
+                              const array<double>& b, array<double>& x,
+                              const jaccx::cg::cg_options& opts) {
+  using jaccx::cg::darray;
+  const index_t n = A.n;
+  const hints dot_h{.name = "cg.dot", .flops_per_index = 2.0,
+                    .bytes_per_index = 16.0};
+  const hints axpy_h{.name = "cg.axpy", .flops_per_index = 2.0,
+                     .bytes_per_index = 24.0};
+  darray r(uninit, n);
+  darray p(uninit, n);
+  darray s(uninit, n);
+  A.apply(x, s);
+  parallel_for(
+      hints{.name = "cg.residual", .flops_per_index = 2.0,
+            .bytes_per_index = 24.0},
+      n,
+      [](index_t i, const darray& b_, const darray& s_, darray& r_) {
+        r_[i] = static_cast<double>(b_[i]) - static_cast<double>(s_[i]);
+      },
+      b, s, r);
+  parallel_for(hints{.name = "cg.copy", .bytes_per_index = 16.0}, n,
+               jaccx::cg::copy_kernel, r, p);
+  const double bb = parallel_reduce(dot_h, n, jaccx::blas::dot, b, b);
+  double rr = parallel_reduce(dot_h, n, jaccx::blas::dot, r, r);
+  const double stop = opts.tolerance * opts.tolerance * bb;
+  jaccx::cg::cg_result out;
+  while (out.iterations < opts.max_iterations && rr > stop) {
+    A.apply(p, s);
+    const double alpha =
+        rr / parallel_reduce(dot_h, n, jaccx::blas::dot, p, s);
+    parallel_for(axpy_h, n, jaccx::blas::axpy, alpha, x, p);
+    parallel_for(axpy_h, n, jaccx::blas::axpy, -alpha, r, s);
+    const double rr_new = parallel_reduce(dot_h, n, jaccx::blas::dot, r, r);
+    parallel_for(hints{.name = "cg.xpay", .flops_per_index = 2.0,
+                       .bytes_per_index = 24.0},
+                 n, jaccx::cg::xpay_kernel, rr_new / rr, r, p);
+    rr = rr_new;
+    ++out.iterations;
+  }
+  out.relative_residual = std::sqrt(rr / bb);
+  out.converged = rr <= stop;
+  return out;
+}
+
 class Fusion : public ::testing::Test {
 protected:
   void SetUp() override { saved_ = current_backend(); }
@@ -48,56 +96,27 @@ protected:
   backend saved_ = backend::threads;
 };
 
-// --- mode plumbing ----------------------------------------------------------
-
-TEST_F(Fusion, ParseAndScopedMode) {
-  EXPECT_EQ(parse_fuse("none"), fuse_mode::none);
-  EXPECT_EQ(parse_fuse("off"), fuse_mode::none);
-  EXPECT_EQ(parse_fuse("expr"), fuse_mode::expr);
-  EXPECT_EQ(parse_fuse("graph"), fuse_mode::graph);
-  EXPECT_EQ(parse_fuse("all"), fuse_mode::all);
-  EXPECT_EQ(parse_fuse("bogus"), std::nullopt);
-
-  const fuse_mode before = fuse();
-  {
-    const scoped_fuse sf(fuse_mode::expr);
-    EXPECT_TRUE(fuse_expr());
-    EXPECT_FALSE(fuse_graph());
-    {
-      const scoped_fuse inner(fuse_mode::all);
-      EXPECT_TRUE(fuse_expr());
-      EXPECT_TRUE(fuse_graph());
-    }
-    EXPECT_EQ(fuse(), fuse_mode::expr);
-  }
-  EXPECT_EQ(fuse(), before);
-}
-
 // --- expr layer: bit-exact vs the eager kernels -----------------------------
 
 TEST_F(Fusion, ExprBlasBitExactSerial) {
+  // The BLAS drivers launch their eager kernels; the same statements
+  // written as expressions must produce the same bits.
   set_backend(backend::serial);
   const index_t n = 1000;
   const auto hx = iota_vec(n, 1.0);
   const auto hy = iota_vec(n, -3.5);
 
   array<double> xe(hx), ye(hy), xf(hx), yf(hy);
-  double dot_e = 0.0;
-  double dot_f = 0.0;
-  {
-    const scoped_fuse sf(fuse_mode::none);
-    jaccx::blas::jacc_axpy(n, 1.0 / 3.0, xe, ye);
-    jaccx::blas::jacc_scal(n, 0.7, xe);
-    jaccx::blas::jacc_copy(n, xe, ye);
-    dot_e = jaccx::blas::jacc_dot(n, xe, ye);
-  }
-  {
-    const scoped_fuse sf(fuse_mode::expr);
-    jaccx::blas::jacc_axpy(n, 1.0 / 3.0, xf, yf);
-    jaccx::blas::jacc_scal(n, 0.7, xf);
-    jaccx::blas::jacc_copy(n, xf, yf);
-    dot_f = jaccx::blas::jacc_dot(n, xf, yf);
-  }
+  jaccx::blas::jacc_axpy(n, 1.0 / 3.0, xe, ye);
+  jaccx::blas::jacc_scal(n, 0.7, xe);
+  jaccx::blas::jacc_copy(n, xe, ye);
+  const double dot_e = jaccx::blas::jacc_dot(n, xe, ye);
+
+  eval("test.axpy", n, assign(xf, ex(xf) + (1.0 / 3.0) * ex(yf)));
+  eval("test.scal", n, assign(xf, ex(xf) * 0.7));
+  eval("test.copy", n, assign(yf, ex(xf)));
+  const double dot_f = dot("test.dot", n, ex(xf), ex(yf));
+
   EXPECT_EQ(dot_e, dot_f);
   for (index_t i = 0; i < n; ++i) {
     EXPECT_EQ(xe.host_data()[i], xf.host_data()[i]) << i;
@@ -111,40 +130,31 @@ TEST_F(Fusion, ExprBlas2dBitExactFullAndPrefix) {
   const index_t cols = 17;
   const auto h = iota_vec(rows * cols, 2.0);
 
-  // Full-extent: the fused flat sweep covers the same elements in the
+  // Full extent: a flat expression sweep covers the same elements in the
   // same canonical order (idx = j*rows + i) as the eager 2-D launch.
   array2d<double> xe(h, rows, cols), ye(h, rows, cols);
   array2d<double> xf(h, rows, cols), yf(h, rows, cols);
-  double de = 0.0;
-  double df = 0.0;
-  {
-    const scoped_fuse sf(fuse_mode::none);
-    jaccx::blas::jacc_axpy2d(rows, cols, -0.3, xe, ye);
-    de = jaccx::blas::jacc_dot2d(rows, cols, xe, ye);
-  }
-  {
-    const scoped_fuse sf(fuse_mode::expr);
-    jaccx::blas::jacc_axpy2d(rows, cols, -0.3, xf, yf);
-    df = jaccx::blas::jacc_dot2d(rows, cols, xf, yf);
-  }
+  jaccx::blas::jacc_axpy2d(rows, cols, -0.3, xe, ye);
+  const double de = jaccx::blas::jacc_dot2d(rows, cols, xe, ye);
+  eval("test.axpy2d", rows * cols, assign(xf, ex(xf) + (-0.3) * ex(yf)));
+  const double df = dot("test.dot2d", rows * cols, ex(xf), ex(yf));
   EXPECT_EQ(de, df);
   for (index_t i = 0; i < rows * cols; ++i) {
     EXPECT_EQ(xe.host_data()[i], xf.host_data()[i]) << i;
   }
 
-  // Prefix extents are not flat-contiguous: the expr path must decline
-  // (fall back to the eager 2-D kernel) and stay correct.
-  array2d<double> pe(h, rows, cols), pf(h, rows, cols);
-  {
-    const scoped_fuse sf(fuse_mode::none);
-    jaccx::blas::jacc_axpy2d(rows - 3, cols - 2, 2.0, pe, ye);
-  }
-  {
-    const scoped_fuse sf(fuse_mode::expr);
-    jaccx::blas::jacc_axpy2d(rows - 3, cols - 2, 2.0, pf, yf);
-  }
-  for (index_t i = 0; i < rows * cols; ++i) {
-    EXPECT_EQ(pe.host_data()[i], pf.host_data()[i]) << i;
+  // A prefix extent touches only its sub-block.
+  array2d<double> pe(h, rows, cols);
+  jaccx::blas::jacc_axpy2d(rows - 3, cols - 2, 2.0, pe, ye);
+  for (index_t j = 0; j < cols; ++j) {
+    for (index_t i = 0; i < rows; ++i) {
+      const index_t k = j * rows + i;
+      const double expect =
+          i < rows - 3 && j < cols - 2
+              ? h[static_cast<std::size_t>(k)] + 2.0 * ye.host_data()[k]
+              : h[static_cast<std::size_t>(k)];
+      EXPECT_EQ(pe.host_data()[k], expect) << i << "," << j;
+    }
   }
 }
 
@@ -181,29 +191,51 @@ TEST_F(Fusion, ExprEvalDotMatchesUnfusedSweeps) {
 }
 
 TEST_F(Fusion, CgSolveExprBitExactSerialAndSim) {
+  // cg_solve runs its vector work through the expression layer; the eager
+  // kernel sequence must give the same iterates bit for bit.  On a100 the
+  // working set stays cache-resident, so the kernels of both solves charge
+  // only the first touch of each array: the same DRAM bytes, also bit for
+  // bit.  (Allocation events are left out: the second solve's scratch
+  // comes from the pool.)
   for (const backend be : {backend::serial, backend::cuda_a100}) {
     set_backend(be);
+    auto& dev = jaccx::sim::get_device("a100");
+    const auto solve_dram = [&](auto&& solve) {
+      dev.tl().set_logging(false);
+      dev.cache().reset();
+      dev.reset_clock();
+      dev.tl().set_logging(true);
+      solve();
+      std::uint64_t bytes = 0;
+      for (const auto& e : dev.tl().events()) {
+        if (e.kind == jaccx::sim::event_kind::kernel) {
+          bytes += e.tally.dram_bytes;
+        }
+      }
+      dev.reset_clock();
+      return bytes;
+    };
     const index_t n = 300;
     jaccx::cg::tridiag_system A(n);
     const std::vector<double> bh(static_cast<std::size_t>(n), 1.0);
 
-    jaccx::cg::darray b1(bh), b2(bh);
-    jaccx::cg::darray x1(n), x2(n);
+    array<double> b1(bh), b2(bh);
+    array<double> x1(n), x2(n);
     jaccx::cg::cg_result r1, r2;
-    {
-      const scoped_fuse sf(fuse_mode::none);
-      r1 = jaccx::cg::cg_solve(A, b1, x1, {});
-    }
-    {
-      const scoped_fuse sf(fuse_mode::expr);
-      r2 = jaccx::cg::cg_solve(A, b2, x2, {});
-    }
+    const std::uint64_t dram_eager =
+        solve_dram([&] { r1 = eager_cg(A, b1, x1, {}); });
+    const std::uint64_t dram_fused =
+        solve_dram([&] { r2 = jaccx::cg::cg_solve(A, b2, x2, {}); });
     EXPECT_TRUE(r1.converged);
     EXPECT_EQ(r1.iterations, r2.iterations) << to_string(be);
     EXPECT_EQ(r1.relative_residual, r2.relative_residual) << to_string(be);
     for (index_t i = 0; i < n; ++i) {
       EXPECT_EQ(x1.host_data()[i], x2.host_data()[i])
           << to_string(be) << " i=" << i;
+    }
+    if (be == backend::cuda_a100) {
+      EXPECT_GT(dram_fused, 0u);
+      EXPECT_EQ(dram_eager, dram_fused);
     }
   }
 }
@@ -214,17 +246,10 @@ TEST_F(Fusion, CgSolveExprThreadsNear) {
   jaccx::cg::tridiag_system A(n);
   const std::vector<double> bh(static_cast<std::size_t>(n), 1.0);
 
-  jaccx::cg::darray b1(bh), b2(bh);
-  jaccx::cg::darray x1(n), x2(n);
-  jaccx::cg::cg_result r1, r2;
-  {
-    const scoped_fuse sf(fuse_mode::none);
-    r1 = jaccx::cg::cg_solve(A, b1, x1, {});
-  }
-  {
-    const scoped_fuse sf(fuse_mode::expr);
-    r2 = jaccx::cg::cg_solve(A, b2, x2, {});
-  }
+  array<double> b1(bh), b2(bh);
+  array<double> x1(n), x2(n);
+  const auto r1 = eager_cg(A, b1, x1, {});
+  const auto r2 = jaccx::cg::cg_solve(A, b2, x2, {});
   EXPECT_TRUE(r1.converged);
   EXPECT_TRUE(r2.converged);
   for (index_t i = 0; i < n; ++i) {
@@ -236,16 +261,10 @@ TEST_F(Fusion, PaperIterationExprBitExactSerial) {
   set_backend(backend::serial);
   const index_t n = 512;
   jaccx::cg::paper_state se(n), sf(n);
-  {
-    const scoped_fuse none(fuse_mode::none);
-    jaccx::cg::paper_iteration(se);
-    jaccx::cg::paper_iteration(se);
-  }
-  {
-    const scoped_fuse expr(fuse_mode::expr);
-    jaccx::cg::paper_iteration(sf);
-    jaccx::cg::paper_iteration(sf);
-  }
+  jaccx::cg::paper_iteration(se);
+  jaccx::cg::paper_iteration(se);
+  jaccx::cg::paper_iteration_fused(sf);
+  jaccx::cg::paper_iteration_fused(sf);
   for (index_t i = 0; i < n; ++i) {
     EXPECT_EQ(se.r.host_data()[i], sf.r.host_data()[i]) << i;
     EXPECT_EQ(se.p.host_data()[i], sf.p.host_data()[i]) << i;
@@ -264,15 +283,14 @@ TEST_F(Fusion, ExprSimChargesLessDram) {
   auto& dev = jaccx::sim::get_device("mi100");
   const index_t n = index_t{1} << 21;
 
-  const auto chain_dram = [&](fuse_mode m) {
-    const scoped_fuse sf(m);
+  const auto chain_dram = [&](void (*iteration)(jaccx::cg::paper_state&)) {
     jaccx::cg::paper_state st(n);
     dev.tl().set_logging(false);
     dev.cache().reset();
-    jaccx::cg::paper_iteration(st); // warm
+    iteration(st); // warm
     dev.reset_clock();
     dev.tl().set_logging(true);
-    jaccx::cg::paper_iteration(st);
+    iteration(st);
     std::uint64_t bytes = 0;
     for (const auto& e : dev.tl().events()) {
       if (e.kind == jaccx::sim::event_kind::kernel &&
@@ -284,15 +302,15 @@ TEST_F(Fusion, ExprSimChargesLessDram) {
     return bytes;
   };
 
-  const std::uint64_t eager = chain_dram(fuse_mode::none);
-  const std::uint64_t fused = chain_dram(fuse_mode::expr);
+  const std::uint64_t eager = chain_dram(jaccx::cg::paper_iteration);
+  const std::uint64_t fused = chain_dram(jaccx::cg::paper_iteration_fused);
   EXPECT_GT(eager, 0u);
   // The acceptance bar bench/abl_cg_fusion enforces per-arch.
   EXPECT_GE(static_cast<double>(eager), 1.5 * static_cast<double>(fused))
       << "eager=" << eager << " fused=" << fused;
 }
 
-// --- JACC_FUSE=none: the seed's charges, bit for bit ------------------------
+// --- paper_iteration: the seed's charges, bit for bit -----------------------
 
 TEST_F(Fusion, NoneModeMatchesSeedChargesExactly) {
   set_backend(backend::cuda_a100);
@@ -352,10 +370,8 @@ TEST_F(Fusion, NoneModeMatchesSeedChargesExactly) {
     static_cast<void>(cond);
   });
 
-  const auto none = run([](jaccx::cg::paper_state& st) {
-    const scoped_fuse sf(fuse_mode::none);
-    jaccx::cg::paper_iteration(st);
-  });
+  const auto none = run(
+      [](jaccx::cg::paper_state& st) { jaccx::cg::paper_iteration(st); });
 
   ASSERT_EQ(seed.names.size(), none.names.size());
   for (std::size_t k = 0; k < seed.names.size(); ++k) {
@@ -363,193 +379,6 @@ TEST_F(Fusion, NoneModeMatchesSeedChargesExactly) {
     EXPECT_EQ(seed.dram[k], none.dram[k]) << "event " << k;
   }
   EXPECT_DOUBLE_EQ(seed.clock_us, none.clock_us);
-}
-
-// --- graph chain fuser ------------------------------------------------------
-
-TEST_F(Fusion, GraphFuserMergesAdjacentElementwise) {
-  set_backend(backend::serial);
-  const index_t n = 4096;
-  const auto hx = iota_vec(n, 1.0);
-  const auto hy = iota_vec(n, 0.5);
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  // Eager reference.
-  array<double> xe(hx), ye(hy);
-  parallel_for(ew, n, axpy_k, 2.0, xe, ye);
-  parallel_for(ew, n, axpy_k, 3.0, ye, xe);
-  const std::vector<double> once_x = xe.to_host();
-  parallel_for(ew, n, axpy_k, 2.0, xe, ye);
-  parallel_for(ew, n, axpy_k, 3.0, ye, xe);
-
-  array<double> x(hx), y(hy);
-  const scoped_fuse sf(fuse_mode::graph);
-  queue q("fuse.merge");
-  q.begin_capture();
-  parallel_for(q, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(q, ew, n, axpy_k, 3.0, y, x);
-  graph g = q.end_capture();
-  EXPECT_EQ(g.node_count(), 1u) << "adjacent elementwise pair must merge";
-
-  g.launch(q);
-  q.synchronize();
-  EXPECT_EQ(x.to_host(), once_x);
-  g.launch(q);
-  q.synchronize();
-  EXPECT_EQ(x.to_host(), xe.to_host());
-  EXPECT_EQ(y.to_host(), ye.to_host());
-}
-
-TEST_F(Fusion, GraphFuserRequiresSameIndexSpace) {
-  set_backend(backend::serial);
-  const index_t n = 1024;
-  array<double> x(iota_vec(n, 1.0)), y(iota_vec(n, 0.5));
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  const scoped_fuse sf(fuse_mode::graph);
-  queue q("fuse.mismatch");
-  q.begin_capture();
-  parallel_for(q, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(q, ew, n / 2, axpy_k, 3.0, x, y);
-  graph g = q.end_capture();
-  EXPECT_EQ(g.node_count(), 2u) << "different index spaces must not merge";
-}
-
-TEST_F(Fusion, GraphFuserRequiresElementwiseHint) {
-  set_backend(backend::serial);
-  const index_t n = 1024;
-  array<double> x(iota_vec(n, 1.0)), y(iota_vec(n, 0.5));
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-  const hints plain{.name = "f.axpy", .flops_per_index = 2.0,
-                    .bytes_per_index = 24.0};
-
-  const scoped_fuse sf(fuse_mode::graph);
-  queue q("fuse.hint");
-  q.begin_capture();
-  parallel_for(q, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(q, plain, n, axpy_k, 3.0, x, y);
-  parallel_for(q, ew, n, axpy_k, 4.0, x, y);
-  graph g = q.end_capture();
-  EXPECT_EQ(g.node_count(), 3u)
-      << "a non-elementwise node blocks the chain on both sides";
-}
-
-TEST_F(Fusion, GraphFuserWaitEdgeBlocksMerge) {
-  set_backend(backend::serial);
-  const index_t n = 1024;
-  array<double> x(iota_vec(n, 1.0)), y(iota_vec(n, 0.5));
-  array<double> z(iota_vec(n, 2.0)), w(iota_vec(n, 0.25));
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  const scoped_fuse sf(fuse_mode::graph);
-  queue qa("fuse.wa");
-  queue qb("fuse.wb");
-  capture_scope sc{&qa, &qb};
-  parallel_for(qa, ew, n, axpy_k, 2.0, x, y);
-  const event mid = qa.record();
-  parallel_for(qa, ew, n, axpy_k, 3.0, x, y);
-  qb.wait(mid);
-  parallel_for(qb, ew, n, axpy_k, 4.0, z, w);
-  graph g = sc.end();
-  // qa's pair must NOT merge: qb's recorded edge targets the first node's
-  // completion.  4 nodes: k1, k2, wait, k3.
-  EXPECT_EQ(g.node_count(), 4u);
-  const event done = g.launch(qa);
-  done.wait();
-  qa.synchronize();
-  qb.synchronize();
-}
-
-TEST_F(Fusion, GraphFuserCrossQueueNodesNeverMerge) {
-  set_backend(backend::serial);
-  const index_t n = 1024;
-  array<double> x(iota_vec(n, 1.0)), y(iota_vec(n, 0.5));
-  array<double> z(iota_vec(n, 2.0)), w(iota_vec(n, 0.25));
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  const scoped_fuse sf(fuse_mode::graph);
-  queue qa("fuse.xa");
-  queue qb("fuse.xb");
-  capture_scope sc{&qa, &qb};
-  parallel_for(qa, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(qb, ew, n, axpy_k, 3.0, z, w);
-  graph g = sc.end();
-  EXPECT_EQ(g.node_count(), 2u) << "different queues must not merge";
-}
-
-TEST_F(Fusion, GraphFuserOffByDefaultAndUnderNone) {
-  set_backend(backend::serial);
-  const index_t n = 1024;
-  array<double> x(iota_vec(n, 1.0)), y(iota_vec(n, 0.5));
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  const scoped_fuse sf(fuse_mode::none);
-  queue q("fuse.none");
-  q.begin_capture();
-  parallel_for(q, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(q, ew, n, axpy_k, 3.0, x, y);
-  graph g = q.end_capture();
-  EXPECT_EQ(g.node_count(), 2u)
-      << "JACC_FUSE=none keeps the seed node structure";
-}
-
-TEST_F(Fusion, GraphFuserThreadsReplayMatchesEager) {
-  set_backend(backend::threads);
-  const index_t n = 20'000;
-  const auto hx = iota_vec(n, 1.0);
-  const auto hy = iota_vec(n, 0.5);
-  const hints ew{.name = "f.axpy", .flops_per_index = 2.0,
-                 .bytes_per_index = 24.0, .elementwise = true};
-
-  array<double> xe(hx), ye(hy);
-  parallel_for(ew, n, axpy_k, 2.0, xe, ye);
-  parallel_for(ew, n, axpy_k, 3.0, ye, xe);
-
-  array<double> x(hx), y(hy);
-  const scoped_fuse sf(fuse_mode::all);
-  queue q("fuse.threads");
-  q.begin_capture();
-  parallel_for(q, ew, n, axpy_k, 2.0, x, y);
-  parallel_for(q, ew, n, axpy_k, 3.0, y, x);
-  graph g = q.end_capture();
-  EXPECT_EQ(g.node_count(), 1u);
-  g.launch(q);
-  q.synchronize();
-  EXPECT_EQ(x.to_host(), xe.to_host());
-  EXPECT_EQ(y.to_host(), ye.to_host());
-}
-
-TEST_F(Fusion, CgGraphedFusedMatchesUnfusedSolve) {
-  set_backend(backend::serial);
-  const index_t n = 256;
-  jaccx::cg::tridiag_system A(n);
-  const std::vector<double> bh(static_cast<std::size_t>(n), 1.0);
-  jaccx::cg::darray b1(bh), b2(bh);
-  jaccx::cg::darray x1(n), x2(n);
-
-  jaccx::cg::cg_result r1, r2;
-  {
-    const scoped_fuse sf(fuse_mode::none);
-    r1 = jaccx::cg::cg_solve(A, b1, x1, {});
-  }
-  {
-    // graph mode: cg_solve_graphed's captured axpy pair replays as one
-    // fused node; iterates must stay bit-identical.
-    const scoped_fuse sf(fuse_mode::graph);
-    r2 = jaccx::cg::cg_solve_graphed(A, b2, x2, {});
-  }
-  EXPECT_TRUE(r1.converged);
-  EXPECT_EQ(r1.iterations, r2.iterations);
-  EXPECT_EQ(r1.relative_residual, r2.relative_residual);
-  for (index_t i = 0; i < n; ++i) {
-    EXPECT_EQ(x1.host_data()[i], x2.host_data()[i]) << i;
-  }
 }
 
 // --- captured scratch -------------------------------------------------------

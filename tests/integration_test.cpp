@@ -92,10 +92,8 @@ TEST(Integration, LbmChargesOneKernelPerStep) {
 
 TEST(Integration, CgIterationLaunchCountMatchesFig12) {
   // Fig. 12's 27-launch iteration counts the per-reduce zero fills: pin
-  // the paper-fidelity allocation mode, and the unfused launch sequence
-  // (JACC_FUSE=all regroups the chain into 5 launches by design).
+  // the paper-fidelity allocation mode.
   const jaccx::mem::scoped_mode fidelity(jaccx::mem::pool_mode::none);
-  const jacc::scoped_fuse unfused(jacc::fuse_mode::none);
   jacc::scoped_backend sb(backend::cuda_a100);
   jaccx::cg::paper_state st(1 << 12);
   reset_device(backend::cuda_a100);
