@@ -292,7 +292,6 @@ bench_session::~bench_session() {
     };
     out << ", \"JACC_NUM_THREADS\": " << env("JACC_NUM_THREADS")
         << ", \"JACC_SCHEDULE\": " << env("JACC_SCHEDULE")
-        << ", \"JACC_SPIN_US\": " << env("JACC_SPIN_US")
         << ", \"JACC_PROFILE\": " << env("JACC_PROFILE")
         << ", \"mem_pool_mode\": "
         << json_str(std::string(mem::to_string(mem::mode()))) << "},\n";

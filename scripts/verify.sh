@@ -38,20 +38,6 @@ if [[ $RUN_FULL -eq 1 ]]; then
   JACC_QUEUES=2 JACC_MEM_POOL=none ctest --test-dir build \
     -R 'DistAsync|QueueTest|GraphTest|CgPipelined|CgGraphed|PipelinedSolve|GraphedSolve|Shard|Reduce' \
     --output-on-failure -j"$JOBS"
-  # Auto-sharding (docs/SHARDING.md): the whole suite must pass with
-  # sharding explicitly forced on — the default resolution, so this proves
-  # no test quietly depends on JACC_SHARD being unset.  The shard suite
-  # itself pins bit-exactness against host and single-device references
-  # and covers the off mode via the test hook.
-  JACC_SHARD=auto ctest --test-dir build --output-on-failure -j"$JOBS"
-
-  # Serving scheduler (docs/SERVING.md): the suite must pass with explicit
-  # serve env overrides in place, proving the resolution order (options >
-  # env > auto) and that no other test depends on the serve env being
-  # unset.
-  JACC_SERVE_SLOTS=2 ctest --test-dir build -R 'ServeTest' \
-    --output-on-failure -j"$JOBS"
-
   # Serving acceptance: sim throughput must scale to slot saturation,
   # 8 equal-weight tenants must stay within the 1.5x p99 queue-wait ratio,
   # and the memory-pressure scenario must defer-then-admit with the pool's
@@ -140,7 +126,9 @@ JACC_NUM_THREADS=4 ./build-tsan/tests/tests_core \
   --gtest_filter='*ParallelFor*:*ThreadsDecomposition*:Prof.*'
 JACC_NUM_THREADS=4 JACC_SCHEDULE=dynamic,16 ./build-tsan/tests/tests_substrate \
   --gtest_filter='ThreadPool.*'
-JACC_NUM_THREADS=4 JACC_SCHEDULE=dynamic,16 JACC_SPIN_US=0 \
+# One worker more than the machine has cores: the pool then runs with a
+# zero spin budget, so every wait takes the futex park path.
+JACC_NUM_THREADS=$(( $(nproc) + 1 )) JACC_SCHEDULE=dynamic,16 \
   ./build-tsan/tests/tests_core --gtest_filter='*ParallelFor*:Prof.*'
 
 # Profiler collection concurrent with the pool's instrumented fast paths:

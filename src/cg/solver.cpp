@@ -6,7 +6,7 @@
 namespace jaccx::cg {
 namespace {
 
-/// CG setup shared by cg_loop and cg_loop_graphed: r = b - A x and p = r in
+/// CG setup shared by every CG loop: r = b - A x and p = r in
 /// one sweep (the copy reads the residual just stored at the same index,
 /// the same dataflow as back-to-back kernels), then bb = b . b through the
 /// expression dot (docs/FUSION.md).  Returns bb; when it is 0, x = 0 is
@@ -68,10 +68,10 @@ cg_result cg_loop(index_t n, const Apply& apply, const darray& b, darray& x,
   return out;
 }
 
-/// The pipelined loop: `qc` carries the kernels, `qd` the dots.  Work edges
-/// are explicit — qd.wait(qc.record()) before a dot that reads what qc just
-/// wrote, qc.wait(future) before a kernel whose scalar depends on a dot —
-/// and everything between the edges overlaps.
+/// The pipelined loop: `qc` carries the kernels (cg_setup included), `qd`
+/// the dots.  Work edges are explicit — qd.wait(qc.record()) before a dot
+/// that reads what qc just wrote, qc.wait(future) before a kernel whose
+/// scalar depends on a dot — and everything between the edges overlaps.
 template <class Apply>
 cg_result cg_loop_pipelined(index_t n, const Apply& apply, const darray& b,
                             darray& x, const cg_options& opts) {
@@ -86,34 +86,16 @@ cg_result cg_loop_pipelined(index_t n, const Apply& apply, const darray& b,
   darray p(jacc::uninit, n);
   darray s(jacc::uninit, n);
 
-  {
+  const double bb = [&] {
     const jacc::queue_scope in(qc);
-    apply(x, s);
-    jacc::parallel_for(
-        jacc::hints{.name = "cg.residual", .flops_per_index = 2.0,
-                    .bytes_per_index = 24.0},
-        n,
-        [](index_t i, const darray& b_, const darray& s_, darray& r_) {
-          r_[i] = static_cast<double>(b_[i]) - static_cast<double>(s_[i]);
-        },
-        b, s, r);
-    jacc::parallel_for(jacc::hints{.name = "cg.copy", .bytes_per_index = 16.0},
-                       n, copy_kernel, r, p);
-  }
-
-  // b . b is independent of the setup kernels; r . r must follow them.
-  auto f_bb = qd.parallel_reduce(dot_h, n, blas::dot, b, b);
-  qd.wait(qc.record());
-  auto f_rr = qd.parallel_reduce(dot_h, n, blas::dot, r, r);
-  const double bb = f_bb.get();
+    return cg_setup(n, apply, b, x, r, p, s);
+  }();
   if (bb == 0.0) {
-    qc.synchronize();
-    qd.synchronize();
-    jacc::parallel_for(
-        jacc::hints{.name = "cg.zero", .bytes_per_index = 8.0}, n,
-        [](index_t i, darray& x_) { x_[i] = 0.0; }, x);
+    qc.synchronize(); // the queued x = 0
     return {0, 0.0, true};
   }
+  qd.wait(qc.record()); // r . r reads the fresh r
+  auto f_rr = qd.parallel_reduce(dot_h, n, blas::dot, r, r);
   double rr = f_rr.get();
   const double stop = opts.tolerance * opts.tolerance * bb;
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <mutex>
 #include <string>
@@ -16,6 +15,7 @@
 #include "sim/device.hpp"
 #include "support/env.hpp"
 #include "support/error.hpp"
+#include "threadpool/thread_pool.hpp"
 #include "toml/parser.hpp"
 #include "toml/writer.hpp"
 
@@ -24,71 +24,70 @@ namespace {
 
 std::atomic<int> g_backend{-1}; // -1: not yet initialized
 
-backend resolve_from_preferences() {
-  if (const auto env = jaccx::get_env("JACC_BACKEND")) {
-    return backend_from_string(*env);
+/// The two configuration-time choices (paper Sec. III), each resolved
+/// env > LocalPreferences.toml (`JACC.backend`, `JACC.mem_pool`) > default.
+/// The preferences file is parsed once, and only when some key has no env
+/// override.
+struct preferences {
+  backend be = backend::threads; // paper Sec. III: Base.Threads is the default
+  jaccx::mem::pool_mode mem_pool = jaccx::mem::pool_mode::bucket;
+};
+
+jaccx::mem::pool_mode mem_pool_from_string(const std::string& name,
+                                           const char* source) {
+  if (const auto m = jaccx::mem::parse_mode(name)) {
+    return *m;
   }
-  std::string path = "LocalPreferences.toml";
-  if (const auto p = jaccx::get_env("JACC_PREFERENCES_FILE")) {
-    path = *p;
-  }
-  if (std::filesystem::exists(path)) {
-    const auto prefs = jaccx::toml::parse_file(path);
-    if (const auto name = jaccx::toml::find_string(prefs, "JACC.backend")) {
-      return backend_from_string(*name);
-    }
-  }
-  return backend::threads; // paper Sec. III: Base.Threads is the default
+  jaccx::throw_config_error("unknown " + std::string(source) + " '" + name +
+                            "' (known: bucket, none)");
 }
 
-jaccx::mem::pool_mode resolve_mem_pool() {
-  if (const auto env = jaccx::get_env("JACC_MEM_POOL")) {
-    if (const auto m = jaccx::mem::parse_mode(*env)) {
-      return *m;
+preferences resolve_preferences() {
+  const auto env_backend = jaccx::get_env("JACC_BACKEND");
+  const auto env_pool = jaccx::get_env("JACC_MEM_POOL");
+  jaccx::toml::table file;
+  if (!env_backend || !env_pool) {
+    const std::string path =
+        jaccx::get_env("JACC_PREFERENCES_FILE").value_or(
+            "LocalPreferences.toml");
+    if (std::filesystem::exists(path)) {
+      file = jaccx::toml::parse_file(path);
     }
-    jaccx::throw_config_error("unknown JACC_MEM_POOL '" + *env +
-                              "' (known: bucket, none)");
   }
-  std::string path = "LocalPreferences.toml";
-  if (const auto p = jaccx::get_env("JACC_PREFERENCES_FILE")) {
-    path = *p;
+  preferences p;
+  if (env_backend) {
+    p.be = backend_from_string(*env_backend);
+  } else if (const auto name =
+                 jaccx::toml::find_string(file, "JACC.backend")) {
+    p.be = backend_from_string(*name);
   }
-  if (std::filesystem::exists(path)) {
-    const auto prefs = jaccx::toml::parse_file(path);
-    if (const auto name = jaccx::toml::find_string(prefs, "JACC.mem_pool")) {
-      if (const auto m = jaccx::mem::parse_mode(*name)) {
-        return *m;
+  if (env_pool) {
+    p.mem_pool = mem_pool_from_string(*env_pool, "JACC_MEM_POOL");
+  } else if (const auto name =
+                 jaccx::toml::find_string(file, "JACC.mem_pool")) {
+    p.mem_pool = mem_pool_from_string(*name, "JACC.mem_pool");
+  }
+  return p;
+}
+
+/// The thread pool and the lane registry read JACC_NUM_THREADS,
+/// JACC_SCHEDULE and JACC_QUEUES lazily and must not throw there (they run
+/// inside launches), so they fall back to their automatic defaults on a
+/// malformed value.  initialize() is where such a value is rejected.
+void check_runtime_settings() {
+  if (const auto spec = jaccx::get_env("JACC_SCHEDULE");
+      spec && !jaccx::pool::parse_schedule(*spec)) {
+    jaccx::throw_config_error("bad JACC_SCHEDULE '" + *spec +
+                              "' (want static or dynamic[,grain])");
+  }
+  for (const char* name : {"JACC_NUM_THREADS", "JACC_QUEUES"}) {
+    if (const auto v = jaccx::get_env(name)) {
+      if (const auto n = jaccx::parse_long(*v); !n || *n < 1) {
+        jaccx::throw_config_error("bad " + std::string(name) + " '" + *v +
+                                  "' (want a positive integer)");
       }
-      jaccx::throw_config_error("unknown JACC.mem_pool '" + *name +
-                                "' (known: bucket, none)");
     }
   }
-  return jaccx::mem::pool_mode::bucket;
-}
-
-// Cache cap in bytes: JACC_MEM_CAP_MB env > TOML `JACC.mem_cap_mb` > 0
-// (uncapped).  0/negative disables the cap.
-std::int64_t resolve_mem_cap() {
-  if (const auto env = jaccx::get_env("JACC_MEM_CAP_MB")) {
-    char* end = nullptr;
-    const long long mb = std::strtoll(env->c_str(), &end, 10);
-    if (end == env->c_str() || *end != '\0') {
-      jaccx::throw_config_error("bad JACC_MEM_CAP_MB '" + *env +
-                                "' (want an integer MiB count; 0 = uncapped)");
-    }
-    return mb > 0 ? static_cast<std::int64_t>(mb) * (1ll << 20) : 0;
-  }
-  std::string path = "LocalPreferences.toml";
-  if (const auto p = jaccx::get_env("JACC_PREFERENCES_FILE")) {
-    path = *p;
-  }
-  if (std::filesystem::exists(path)) {
-    const auto prefs = jaccx::toml::parse_file(path);
-    if (const auto mb = jaccx::toml::find_int(prefs, "JACC.mem_cap_mb")) {
-      return *mb > 0 ? static_cast<std::int64_t>(*mb) * (1ll << 20) : 0;
-    }
-  }
-  return 0;
 }
 
 } // namespace
@@ -137,10 +136,10 @@ jaccx::sim::device* backend_device(backend b) {
 }
 
 void initialize() {
-  g_backend.store(static_cast<int>(resolve_from_preferences()),
-                  std::memory_order_release);
-  jaccx::mem::set_mode(resolve_mem_pool());
-  jaccx::mem::set_cache_cap(resolve_mem_cap());
+  const preferences p = resolve_preferences();
+  check_runtime_settings();
+  g_backend.store(static_cast<int>(p.be), std::memory_order_release);
+  jaccx::mem::set_mode(p.mem_pool);
   // External profiling tools (JACC_TOOLS_LIBS) attach here, before any
   // kernel can launch; the loader is idempotent across re-initialization.
   jaccx::prof::load_tools_from_env();
@@ -160,10 +159,9 @@ backend current_backend() {
     // Unlike an explicit initialize(), the lazy path must not clobber a
     // mem-pool mode that was already pinned programmatically.
     std::call_once(once, [] {
-      g_backend.store(static_cast<int>(resolve_from_preferences()),
-                      std::memory_order_release);
-      jaccx::mem::set_default_mode(resolve_mem_pool());
-      jaccx::mem::set_default_cache_cap(resolve_mem_cap());
+      const preferences p = resolve_preferences();
+      g_backend.store(static_cast<int>(p.be), std::memory_order_release);
+      jaccx::mem::set_default_mode(p.mem_pool);
       jaccx::prof::load_tools_from_env();
       install_rate_feedback();
     });

@@ -11,6 +11,9 @@
 //      JACC_PREFERENCES_FILE or ./LocalPreferences.toml,
 //   3. the built-in default, "threads" (the paper's default back end).
 //
+// The memory-pool mode (JACC_MEM_POOL, key `mem_pool`) resolves through the
+// same chain from the same single read of the file.
+//
 // Six back ends are compiled in:
 //
 //   serial          real execution, single thread (reference semantics)
@@ -75,8 +78,10 @@ bool is_simulated(backend b);
 jaccx::sim::device* backend_device(backend b);
 
 /// Resolves the preference chain (env var, LocalPreferences.toml, default)
-/// and installs the result.  Called implicitly by the first
-/// current_backend(); call explicitly to re-read preferences.
+/// and installs the result.  Also rejects a malformed JACC_NUM_THREADS,
+/// JACC_SCHEDULE or JACC_QUEUES with config_error; the lazy readers of
+/// those fall back to their defaults instead.  Called implicitly by the
+/// first current_backend(); call explicitly to re-read preferences.
 void initialize();
 
 /// The backend all jacc constructs currently dispatch to.

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 #include <utility>
 
 #include "prof/prof.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace jacc {
@@ -24,37 +22,9 @@ std::string model_of(backend be) {
   }
 }
 
-/// Test override for the JACC_SHARD resolution; see set_shard_mode_for_test.
-int g_shard_mode_override = -1;
-
-bool resolve_auto_shard() {
-  if (g_shard_mode_override >= 0) {
-    return g_shard_mode_override != 0;
-  }
-  const auto v = jaccx::get_env("JACC_SHARD");
-  if (!v || v->empty() || *v == "auto") {
-    return true;
-  }
-  if (*v == "off") {
-    return false;
-  }
-  jaccx::throw_config_error("JACC_SHARD must be 'auto' or 'off', got '" + *v +
-                            "'");
-}
-
-double resolve_threshold() {
-  const auto v = jaccx::get_env("JACC_SHARD_REBALANCE");
-  if (!v || v->empty()) {
-    return 0.2;
-  }
-  char* end = nullptr;
-  const double t = std::strtod(v->c_str(), &end);
-  if (end == nullptr || *end != '\0' || !(t > 0.0)) {
-    jaccx::throw_config_error(
-        "JACC_SHARD_REBALANCE must be a positive fraction, got '" + *v + "'");
-  }
-  return t;
-}
+/// Relative deviation between the current plan and the rate-proportional
+/// plan past which maybe_rebalance() re-shards (larger = stickier plans).
+constexpr double rebalance_threshold = 0.2;
 
 /// EWMA weight for per-launch throughput observations; matches the
 /// auto_backend registry's smoothing so the two views agree.
@@ -69,19 +39,12 @@ device_set::device_set(backend be, int devices) : be_(be) {
     jaccx::throw_usage_error("jacc::device_set needs at least one device");
   }
   model_ = model_of(be);
-  auto_ = resolve_auto_shard();
-  threshold_ = resolve_threshold();
   devs_.reserve(static_cast<std::size_t>(devices));
   for (int d = 0; d < devices; ++d) {
     devs_.push_back(&jaccx::sim::get_device_instance(model_, d));
   }
   const auto n = static_cast<std::size_t>(devices);
-  // `off` degenerates to the single-device plan: all weight on device 0,
-  // every other shard empty — results identical, no distribution.
-  weights_.assign(n, auto_ ? 1.0 : 0.0);
-  if (!auto_) {
-    weights_[0] = 1.0;
-  }
+  weights_.assign(n, 1.0);
   rate_.assign(n, 0.0);
   slowdown_.assign(n, 1.0);
 }
@@ -213,7 +176,7 @@ double device_set::note_launch(int d, double elapsed_us, index_t items,
 }
 
 bool device_set::maybe_rebalance() {
-  if (!auto_ || manual_weights_ || devices() < 2) {
+  if (manual_weights_ || devices() < 2) {
     return false;
   }
   double rate_total = 0.0;
@@ -233,7 +196,7 @@ bool device_set::maybe_rebalance() {
     const double rf = rate_[di] / rate_total;
     worst = std::max(worst, std::abs(wf - rf) / rf);
   }
-  if (worst <= threshold_) {
+  if (worst <= rebalance_threshold) {
     return false;
   }
   for (int d = 0; d < devices(); ++d) {
@@ -252,8 +215,6 @@ void device_set::clear_rates() {
 namespace detail {
 
 device_set* active_shard_set() { return t_active_shard_set; }
-
-void set_shard_mode_for_test(int mode) { g_shard_mode_override = mode; }
 
 } // namespace detail
 

@@ -58,10 +58,6 @@ public:
 
   // --- decomposition --------------------------------------------------------
 
-  /// Whether launches in this set's scope shard across all devices (JACC_SHARD
-  /// resolved at construction; `off` pins everything to device 0).
-  bool auto_shard() const { return auto_; }
-
   /// Chunk boundaries over a slow extent of `n` under the current weights:
   /// devices()+1 monotone values, bounds[d]..bounds[d+1] owned by device d.
   /// Cached per extent until the weights change.
@@ -78,6 +74,7 @@ public:
   const std::vector<double>& weights() const { return weights_; }
   /// Pins an explicit decomposition and disables measured auto-rebalance
   /// (the escape hatch; also how the bench computes its "ideal" plan).
+  /// `{1, 0, ...}` is the single-device plan: every other shard is empty.
   void set_weights(std::vector<double> w);
 
   // --- measured rebalance ---------------------------------------------------
@@ -106,24 +103,20 @@ public:
 
   /// Re-derives the weights from the measured rates when every device has
   /// been observed and the current plan's worst relative deviation from the
-  /// rate-proportional plan exceeds the threshold (JACC_SHARD_REBALANCE,
-  /// default 0.2).  Returns true when the plan changed.  The launch path
-  /// calls this after every sharded launch; manual set_weights disables it.
+  /// rate-proportional plan exceeds 0.2.  Returns true when the plan
+  /// changed.  The launch path calls this after every sharded launch;
+  /// manual set_weights disables it.
   bool maybe_rebalance();
 
   /// Drops measured rates (bench phase boundaries).
   void clear_rates();
-
-  double rebalance_threshold() const { return threshold_; }
 
 private:
   backend be_;
   std::string model_;
   std::vector<jaccx::sim::device*> devs_;
   std::vector<std::unique_ptr<jaccx::sim::stream>> streams_; // lazily
-  bool auto_ = true;
   bool manual_weights_ = false;
-  double threshold_ = 0.2;
   std::uint64_t generation_ = 0;
   std::vector<double> weights_;
   std::vector<double> rate_;     ///< EWMA items/us per device
@@ -137,11 +130,6 @@ namespace detail {
 /// thread (nullptr outside any scope).  The synchronous launch front ends
 /// check this exactly like active_queue().
 device_set* active_shard_set();
-
-/// Test hook: -1 = resolve JACC_SHARD from the environment (default),
-/// 0 = force off, 1 = force auto.  Applies to device_sets constructed
-/// after the call.
-void set_shard_mode_for_test(int mode);
 
 } // namespace detail
 

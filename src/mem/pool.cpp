@@ -71,9 +71,8 @@ struct cached_block {
   void* ptr = nullptr;
   std::uint64_t queue = 0;
   double released_us = 0.0;
-  /// Monotonic release order across ALL pools — the LRU eviction key for
-  /// the bytes_cached cap.  Never consulted by acquire's pick logic, so
-  /// an uncapped pool behaves exactly as before stamps existed.
+  /// Monotonic release order across ALL pools — the oldest-first eviction
+  /// key for trim().  Never consulted by acquire's pick logic.
   std::uint64_t stamp = 0;
 };
 
@@ -160,23 +159,6 @@ pool_mode resolve_env_mode() {
     // jacc::initialize() rejects unknown values loudly.
   }
   return pool_mode::bucket;
-}
-
-// -1: unresolved (first cache_cap() query reads JACC_MEM_CAP_MB);
-// 0: uncapped; > 0: cap in bytes.
-std::atomic<long long> g_cache_cap{-1};
-std::atomic<bool> g_cache_cap_pinned{false};
-
-long long resolve_env_cap() {
-  if (const auto env = get_env("JACC_MEM_CAP_MB")) {
-    char* end = nullptr;
-    const long long mb = std::strtoll(env->c_str(), &end, 10);
-    if (end != env->c_str() && *end == '\0' && mb > 0) {
-      return mb * (1ll << 20);
-    }
-    // Lazy path stays non-throwing; jacc::initialize() rejects garbage.
-  }
-  return 0;
 }
 
 std::uint64_t total_cached_locked(state_t& s) {
@@ -461,11 +443,6 @@ void release(block& b, queue_ctx qc) noexcept {
     p.free_lists[b.bytes].push_back({b.ptr, qc.queue, qc.now_us,
                                      ++s.next_stamp});
     p.bytes_cached += b.bytes;
-    // LRU cap: evict the oldest parked blocks (possibly the one just
-    // parked, if it alone exceeds the cap) until the total fits.
-    if (const std::uint64_t cap = cache_cap(); cap != 0) {
-      trim_locked(s, cap);
-    }
   } else if (b.dev != nullptr) {
     // Unpooled (none mode / zero-byte) or pooled-but-mode-switched blocks
     // go straight back; either way the charge matches what acquire took.
@@ -478,32 +455,6 @@ void release(block& b, queue_ctx qc) noexcept {
   p.bytes_live -= b.bytes;
   --p.live_blocks;
   b = block{};
-}
-
-std::uint64_t cache_cap() {
-  long long c = g_cache_cap.load(std::memory_order_acquire);
-  if (c < 0) {
-    long long expected = -1;
-    g_cache_cap.compare_exchange_strong(expected, resolve_env_cap(),
-                                        std::memory_order_acq_rel);
-    c = g_cache_cap.load(std::memory_order_acquire);
-  }
-  return static_cast<std::uint64_t>(c);
-}
-
-void set_cache_cap(std::uint64_t bytes) {
-  g_cache_cap_pinned.store(true, std::memory_order_release);
-  g_cache_cap.store(static_cast<long long>(bytes), std::memory_order_release);
-  if (bytes != 0) {
-    trim(bytes);
-  }
-}
-
-void set_default_cache_cap(std::uint64_t bytes) {
-  if (!g_cache_cap_pinned.load(std::memory_order_acquire)) {
-    g_cache_cap.store(static_cast<long long>(bytes),
-                      std::memory_order_release);
-  }
 }
 
 void trim(std::size_t target_bytes) {

@@ -121,20 +121,6 @@ block acquire(sim::device* dev, std::size_t bytes, std::string_view name,
 /// no-op.
 void release(block& b, queue_ctx qc = {}) noexcept;
 
-/// LRU cap on the total bytes parked across all free lists, in bytes
-/// (0 = uncapped, the default).  Resolved from JACC_MEM_CAP_MB (env >
-/// TOML `JACC.mem_cap_mb`) by jacc::initialize(); lazily from the env on
-/// first query otherwise.  Enforced at release time: after parking a
-/// block, the oldest-released cached blocks (across every backing store)
-/// are evicted back to their stores until the total is under the cap.
-/// Live blocks and persistent workspaces are never touched, and an
-/// uncapped pool behaves bit-for-bit as before the cap existed.
-std::uint64_t cache_cap();
-void set_cache_cap(std::uint64_t bytes);
-
-/// Installs a cap only when none has been pinned yet (lazy backend path).
-void set_default_cache_cap(std::uint64_t bytes);
-
 /// Evicts oldest-released cached blocks until the total parked bytes is
 /// <= target_bytes.  trim(0) empties every free list — like drain() for
 /// the caches, but workspaces and live blocks stay put.  Long-running
@@ -155,20 +141,6 @@ std::uint64_t alloc_retries();
 /// pool but must not block on work that itself allocates.
 std::uint64_t add_pressure_callback(std::function<void()> fn);
 void remove_pressure_callback(std::uint64_t token);
-
-/// RAII cap pin for tests/benches.
-class scoped_cache_cap {
-public:
-  explicit scoped_cache_cap(std::uint64_t bytes) : prev_(cache_cap()) {
-    set_cache_cap(bytes);
-  }
-  ~scoped_cache_cap() { set_cache_cap(prev_); }
-  scoped_cache_cap(const scoped_cache_cap&) = delete;
-  scoped_cache_cap& operator=(const scoped_cache_cap&) = delete;
-
-private:
-  std::uint64_t prev_;
-};
 
 /// Frees every cached free-list block and persistent workspace back to the
 /// backing stores (device blocks charge_free + arena_release).  Live

@@ -101,8 +101,8 @@ struct state_t {
   std::function<serve_stats()> serve_source;
   std::function<std::optional<roof_rates>(std::string_view)> roof_source;
 
-  /// Host roofline ceilings; resolved lazily from JACC_HOST_ROOF (or the
-  /// configured default) on first read, overridable via set_host_roof.
+  /// Host roofline ceilings; the configured default on first read,
+  /// overridable via set_host_roof.
   bool host_roof_set = false;
   roof_rates host_roof;
 
@@ -577,18 +577,10 @@ roof_rates host_roof() {
   if (!s.host_roof_set) {
     roof_rates r;
     // Configured defaults: a conservative DDR4 stream figure and 2 GF/s
-    // per hardware thread.  JACC_HOST_ROOF="<GB/s>,<GF/s>" overrides.
+    // per hardware thread.
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     r.gbps = 16.0;
     r.gflops = 2.0 * static_cast<double>(hw);
-    if (const auto spec = get_env("JACC_HOST_ROOF")) {
-      double gbps = 0.0, gflops = 0.0;
-      if (std::sscanf(spec->c_str(), "%lf,%lf", &gbps, &gflops) == 2 &&
-          gbps > 0.0 && gflops > 0.0) {
-        r.gbps = gbps;
-        r.gflops = gflops;
-      }
-    }
     s.host_roof = r;
     s.host_roof_set = true;
   }

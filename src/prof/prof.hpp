@@ -397,10 +397,10 @@ void register_roof_source(
 /// for unknown names or when no source is registered.
 std::optional<roof_rates> model_roof(std::string_view model);
 
-/// The host (serial/threads) ceilings used for roofline placement:
-/// JACC_HOST_ROOF="<GB/s>,<GF/s>" when set, else a conservative configured
-/// estimate (DRAM 16 GB/s, 2 GF/s per hardware thread).  set_host_roof
-/// overrides programmatically (benches that measured a STREAM figure).
+/// The host (serial/threads) ceilings used for roofline placement: a
+/// conservative configured estimate (DRAM 16 GB/s, 2 GF/s per hardware
+/// thread).  set_host_roof overrides it (benches that measured a STREAM
+/// figure).
 roof_rates host_roof();
 void set_host_roof(roof_rates r);
 

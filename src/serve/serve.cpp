@@ -13,7 +13,6 @@
 
 #include "core/backend.hpp"
 #include "mem/pool.hpp"
-#include "support/env.hpp"
 #include "support/error.hpp"
 
 namespace jaccx::serve {
@@ -36,13 +35,6 @@ double percentile(std::vector<double> v, double p) {
   std::size_t idx = static_cast<std::size_t>(std::ceil(rank));
   idx = std::min(v.size(), std::max<std::size_t>(idx, 1)) - 1;
   return v[idx];
-}
-
-long env_long_or(const char* name, long fallback) {
-  if (const auto v = jaccx::get_env_long(name); v && *v >= 0) {
-    return *v;
-  }
-  return fallback;
 }
 
 } // namespace
@@ -418,14 +410,6 @@ priority tenant::prio() const {
 scheduler::scheduler(options opt) : s_(std::make_shared<detail::scheduler_state>()) {
   detail::scheduler_state& s = *s_;
   s.opt = opt;
-  if (s.opt.mem_budget_bytes == 0) {
-    s.opt.mem_budget_bytes = static_cast<std::uint64_t>(
-        detail::env_long_or("JACC_SERVE_MEM_MB", 0)) << 20;
-  }
-  if (s.opt.max_pending == 0) {
-    s.opt.max_pending = static_cast<std::size_t>(
-        detail::env_long_or("JACC_SERVE_MAX_PENDING", 0));
-  }
 
   const jacc::backend b = jacc::current_backend();
   s.sim = jacc::backend_device(b) != nullptr;
@@ -433,13 +417,8 @@ scheduler::scheduler(options opt) : s_(std::make_shared<detail::scheduler_state>
   if (b == jacc::backend::threads) {
     lanes = std::max(1, jacc::queue_lane_count());
   }
-  int slots = opt.slots;
-  if (slots <= 0) {
-    slots = static_cast<int>(detail::env_long_or("JACC_SERVE_SLOTS", 0));
-  }
-  if (slots <= 0) {
-    slots = b == jacc::backend::threads ? lanes : 4;
-  }
+  const int slots =
+      opt.slots > 0 ? opt.slots : (b == jacc::backend::threads ? lanes : 4);
   s.slots = std::clamp(slots, 1, 64);
   if (s.sim) {
     // Simulated devices execute functionally at enqueue and are not

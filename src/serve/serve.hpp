@@ -53,13 +53,8 @@
 // trim-to-budget so the server always makes progress; the pool's
 // trim-once-and-retry on std::bad_alloc is the backstop underneath.
 //
-// Env rows (docs/SERVING.md; explicit options fields win over env):
-//   JACC_SERVE_SLOTS        execution slots (default: lane count on
-//                           threads, 4 otherwise)
-//   JACC_SERVE_MEM_MB       admission budget in MiB (0 = no admission
-//                           control, the default)
-//   JACC_SERVE_MAX_PENDING  max queued+deferred jobs before submissions
-//                           are rejected (0 = unbounded, the default)
+// Every setting is a field of `options` below; a zero field takes its
+// automatic default.
 #pragma once
 
 #include <cstdint>

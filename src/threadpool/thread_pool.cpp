@@ -66,11 +66,8 @@ thread_pool::thread_pool(unsigned threads, std::string label)
   // once; on an oversubscribed machine a spinning caller just steals the
   // core its workers need, so park immediately there.
   const unsigned cores = std::thread::hardware_concurrency();
-  long spin = (cores != 0 && width_ > cores) ? 0 : default_spin_us;
-  if (const auto us = get_env_long("JACC_SPIN_US"); us && *us >= 0) {
-    spin = *us;
-  }
-  spin_us_.store(spin, std::memory_order_relaxed);
+  spin_us_.store((cores != 0 && width_ > cores) ? 0 : default_spin_us,
+                 std::memory_order_relaxed);
   if (const auto spec = get_env("JACC_SCHEDULE")) {
     if (const auto s = parse_schedule(*spec)) {
       sched_ = *s;

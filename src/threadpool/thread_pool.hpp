@@ -5,13 +5,14 @@
 // until every worker finishes its chunk(s).  Workers are started once and
 // wait between parallel regions on a cache-line-padded, sense-reversing
 // atomic barrier: the region epoch counter IS the sense.  A waiting worker
-// spins for a bounded budget (JACC_SPIN_US, default ~50us on machines with
-// enough cores) and then parks on the epoch word via the C++20 atomic
-// wait/notify futex path, so back-to-back regions pay no syscall while an
-// idle pool burns no CPU.  Region descriptors are published with a single
-// release increment of the epoch (no mutex), and the join is an atomic
-// countdown the caller spins on before parking, with at most one futex
-// wake on the slow path (measured by the abl_dispatch_overhead benchmark).
+// spins for a bounded budget (50us, or 0 when the pool is wider than the
+// machine; set_spin_budget_us retunes it) and then parks on the epoch word
+// via the C++20 atomic wait/notify futex path, so back-to-back regions pay
+// no syscall while an idle pool burns no CPU.  Region descriptors are
+// published with a single release increment of the epoch (no mutex), and
+// the join is an atomic countdown the caller spins on before parking, with
+// at most one futex wake on the slow path (measured by the
+// abl_dispatch_overhead benchmark).
 //
 // Work distribution is a policy (JACC_SCHEDULE): `static` splits [0, n)
 // into one contiguous chunk per worker; `dynamic[,grain]` has workers claim
@@ -61,10 +62,11 @@ public:
   /// Creates `threads` workers.  0 means use std::thread::hardware_concurrency
   /// (minimum 1).  The calling thread also executes a share of every region,
   /// so the effective parallel width is threads (callers count as worker 0).
-  /// The initial schedule comes from JACC_SCHEDULE and the spin budget from
-  /// JACC_SPIN_US when set.  `label` names the pool in profiler output
-  /// ("pool" for the default pool; queue lanes use "queue.lane<N>") and
-  /// prefixes its workers' trace-lane names.
+  /// The initial schedule comes from JACC_SCHEDULE when set; the spin
+  /// budget is 50 us, or 0 when the pool is wider than the machine.
+  /// `label` names the pool in profiler output ("pool" for the default
+  /// pool; queue lanes use "queue.lane<N>") and prefixes its workers'
+  /// trace-lane names.
   explicit thread_pool(unsigned threads = 0, std::string label = "pool");
 
   thread_pool(const thread_pool&) = delete;

@@ -4,13 +4,45 @@
 
 #include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <string>
 
 #include "core/backend.hpp"
+#include "mem/pool.hpp"
 #include "sim/device.hpp"
 #include "support/error.hpp"
 
 namespace jacc {
 namespace {
+
+/// Sets (or, with nullptr, unsets) one environment variable for a scope and
+/// restores the previous value, so CI legs that export it stay intact.
+class scoped_env {
+public:
+  scoped_env(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) {
+      old_ = old;
+    }
+    if (value != nullptr) {
+      ::setenv(name, value, 1);
+    } else {
+      ::unsetenv(name);
+    }
+  }
+  ~scoped_env() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+  scoped_env(const scoped_env&) = delete;
+  scoped_env& operator=(const scoped_env&) = delete;
+
+private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
 
 class BackendTest : public ::testing::Test {
 protected:
@@ -130,6 +162,52 @@ TEST_F(BackendTest, PreferencesFileWithoutJaccKeyFallsBack) {
   initialize();
   EXPECT_EQ(current_backend(), backend::threads);
   std::remove(path.c_str());
+}
+
+TEST_F(BackendTest, OnePreferencesFileSetsBackendAndMemPool) {
+  const jaccx::mem::pool_mode saved_mode = jaccx::mem::mode();
+  const std::string path = ::testing::TempDir() + "/BothPrefs.toml";
+  {
+    std::ofstream out(path);
+    out << "[JACC]\nbackend = \"mi100\"\nmem_pool = \"none\"\n";
+  }
+  ::setenv("JACC_PREFERENCES_FILE", path.c_str(), 1);
+  {
+    const scoped_env pool("JACC_MEM_POOL", nullptr);
+    initialize();
+    EXPECT_EQ(current_backend(), backend::hip_mi100);
+    EXPECT_EQ(jaccx::mem::mode(), jaccx::mem::pool_mode::none);
+    // Each key's env variable beats its TOML key, independently.
+    {
+      const scoped_env be("JACC_BACKEND", "serial");
+      initialize();
+      EXPECT_EQ(current_backend(), backend::serial);
+      EXPECT_EQ(jaccx::mem::mode(), jaccx::mem::pool_mode::none);
+    }
+    {
+      const scoped_env mp("JACC_MEM_POOL", "bucket");
+      initialize();
+      EXPECT_EQ(current_backend(), backend::hip_mi100);
+      EXPECT_EQ(jaccx::mem::mode(), jaccx::mem::pool_mode::bucket);
+    }
+  }
+  jaccx::mem::set_mode(saved_mode);
+  std::remove(path.c_str());
+}
+
+TEST_F(BackendTest, MalformedScheduleRejected) {
+  const scoped_env sched("JACC_SCHEDULE", "dynamc");
+  EXPECT_THROW(initialize(), jaccx::config_error);
+}
+
+TEST_F(BackendTest, MalformedQueuesRejected) {
+  const scoped_env queues("JACC_QUEUES", "two");
+  EXPECT_THROW(initialize(), jaccx::config_error);
+}
+
+TEST_F(BackendTest, MalformedNumThreadsRejected) {
+  const scoped_env threads("JACC_NUM_THREADS", "4x");
+  EXPECT_THROW(initialize(), jaccx::config_error);
 }
 
 TEST_F(BackendTest, SynchronizeIsCallable) {

@@ -8,6 +8,7 @@
 // and the job handles are a genuine multi-threaded surface).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
@@ -49,19 +50,21 @@ protected:
   backend saved_ = backend::threads;
 };
 
-TEST_F(ServeTest, SlotsResolveFromEnvAndOptions) {
+TEST_F(ServeTest, SlotsResolveFromOptionsAndAuto) {
   set_backend(backend::serial);
-  ::setenv("JACC_SERVE_SLOTS", "3", 1);
   {
     scheduler sched;
-    EXPECT_EQ(sched.slots(), 3);
+    EXPECT_EQ(sched.slots(), 4); // auto off `threads`
   }
   {
-    // Explicit options beat the environment.
-    scheduler sched(options{.slots = 2});
-    EXPECT_EQ(sched.slots(), 2);
+    scheduler sched(options{.slots = 3});
+    EXPECT_EQ(sched.slots(), 3);
   }
-  ::unsetenv("JACC_SERVE_SLOTS");
+  set_backend(backend::threads);
+  {
+    scheduler sched;
+    EXPECT_EQ(sched.slots(), std::max(1, queue_lane_count()));
+  }
 }
 
 TEST_F(ServeTest, FairShareNoTenantStarved) {

@@ -3,7 +3,6 @@
 // the "what am I running on?" CLI.
 #include <cstdio>
 #include <string>
-#include <thread>
 
 #include "core/auto_backend.hpp"
 #include "core/jacc.hpp"
@@ -15,54 +14,35 @@
 
 namespace {
 
-/// Prints one env var plus the value the runtime resolves from it, without
-/// instantiating the pool or profiler (inspection must not change state).
+/// Prints one env var plus the value the runtime resolved from it.
 void print_tuning(const char* var, const std::string& resolved) {
-  if (const auto v = jaccx::get_env(var)) {
-    std::printf("  %-17s : %-14s -> %s\n", var, v->c_str(),
-                resolved.c_str());
-  } else {
-    std::printf("  %-17s : %-14s -> %s\n", var, "(unset)", resolved.c_str());
-  }
+  const auto v = jaccx::get_env(var);
+  std::printf("  %-17s : %-14s -> %s\n", var, v ? v->c_str() : "(unset)",
+              resolved.c_str());
 }
 
 void print_runtime_tuning() {
   std::printf("runtime tuning\n");
 
-  unsigned width = std::thread::hardware_concurrency();
-  if (width == 0) {
-    width = 1;
-  }
-  if (const auto n = jaccx::get_env_long("JACC_NUM_THREADS"); n && *n > 0) {
-    width = static_cast<unsigned>(*n);
-  }
+  // initialize() has already rejected malformed pool settings, so the
+  // default pool reports the values every threads launch runs with.
+  const auto& threads = jaccx::pool::default_pool();
+  const unsigned width = threads.size();
   print_tuning("JACC_NUM_THREADS",
                "pool width " + std::to_string(width) +
-                   (jaccx::get_env_long("JACC_NUM_THREADS")
+                   (jaccx::get_env("JACC_NUM_THREADS")
                         ? ""
                         : " (hardware concurrency)"));
+  std::printf("  %-17s : %-14s -> spin %ld us before futex park\n",
+              "spin budget", "(derived)", threads.spin_budget_us());
 
-  const unsigned cores = std::thread::hardware_concurrency();
-  long spin = (cores != 0 && width > cores) ? 0 : 50;
-  if (const auto us = jaccx::get_env_long("JACC_SPIN_US"); us && *us >= 0) {
-    spin = *us;
-  }
-  print_tuning("JACC_SPIN_US", "spin " + std::to_string(spin) +
-                                   " us before futex park");
-
-  std::string sched = "static (default)";
-  if (const auto spec = jaccx::get_env("JACC_SCHEDULE")) {
-    if (const auto s = jaccx::pool::parse_schedule(*spec)) {
-      sched = s->kind == jaccx::pool::schedule_kind::static_chunks
-                  ? "static"
-                  : (s->grain > 0
-                         ? "dynamic, grain " + std::to_string(s->grain)
-                         : "dynamic, auto grain");
-    } else {
-      sched = "unparseable; static";
-    }
-  }
-  print_tuning("JACC_SCHEDULE", sched);
+  const auto sc = threads.current_schedule();
+  print_tuning("JACC_SCHEDULE",
+               sc.kind == jaccx::pool::schedule_kind::static_chunks
+                   ? "static"
+                   : (sc.grain > 0
+                          ? "dynamic, grain " + std::to_string(sc.grain)
+                          : "dynamic, auto grain"));
 
   std::string prof = "off";
   if (const auto spec = jaccx::get_env("JACC_PROFILE")) {
@@ -100,8 +80,8 @@ void print_runtime_tuning() {
   }
   print_tuning("JACC_MEM_POOL", pool);
 
-  // Resolve the lane policy from the same width the pool would use, without
-  // instantiating the pool or the lane threads.
+  // The lane policy applied to the pool's width, without starting the lane
+  // threads.
   const int lanes = jacc::resolve_queue_lanes(width);
   std::string qcfg = std::to_string(lanes) + " async lane(s)";
   if (lanes > 1) {
@@ -112,7 +92,7 @@ void print_runtime_tuning() {
   } else {
     qcfg += " (queued work degrades to synchronous)";
   }
-  if (!jaccx::get_env_long("JACC_QUEUES")) {
+  if (!jaccx::get_env("JACC_QUEUES")) {
     qcfg += lanes > 1 ? " (width heuristic)" : "";
   }
   print_tuning("JACC_QUEUES", qcfg);
@@ -173,17 +153,15 @@ int main() {
 
   // The same ceilings JACC_PROFILE=roofline places kernels against: sim
   // models via jaccx::sim::model_peak_rates, the host ("serial"/"threads")
-  // via JACC_HOST_ROOF or the configured default.  Ridge = GF/s / GB/s, the
-  // arithmetic intensity where a kernel stops being memory-bound.
+  // via its configured default.  Ridge = GF/s / GB/s, the arithmetic
+  // intensity where a kernel stops being memory-bound.
   std::printf("\nroofline ceilings (JACC_PROFILE=roofline)\n");
   std::printf("  %-9s %10s %10s %10s\n", "target", "peak GB/s", "peak GF/s",
               "ridge f/B");
   const auto host = jaccx::prof::host_roof();
-  std::printf("  %-9s %10.0f %10.0f %10.2f  (host: serial/threads%s)\n",
-              "host", host.gbps, host.gflops,
-              host.gbps > 0.0 ? host.gflops / host.gbps : 0.0,
-              jaccx::get_env("JACC_HOST_ROOF") ? ", JACC_HOST_ROOF"
-                                               : ", configured default");
+  std::printf("  %-9s %10.0f %10.0f %10.2f  (host: serial/threads, "
+              "configured default)\n", "host", host.gbps, host.gflops,
+              host.gbps > 0.0 ? host.gflops / host.gbps : 0.0);
   for (const auto& name : jaccx::sim::builtin_model_names()) {
     if (const auto peak = jaccx::sim::model_peak_rates(name)) {
       std::printf("  %-9s %10.0f %10.0f %10.2f\n", name.c_str(),
